@@ -49,7 +49,7 @@ print(f"{'variant':>8} {'alpha':>6} {'risk':>8} {'accuracy':>9}")
 for name, trainer in (("WCE", train_wce_crm), ("KL", train_kl_crm),
                       ("PR", train_pr_crm)):
     for alpha in (0.9, 1.0):
-        cfg = replace(base, alpha=alpha, variant=name)
+        cfg = replace(base, alpha=alpha)
         policy, _ = trainer(S, S_u, cfg, init)
         risk, acc = evaluate_policy(policy, test_ds)
         print(f"{name:>8} {alpha:>6} {risk:>8.4f} {acc:>9.4f}")

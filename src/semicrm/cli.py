@@ -31,7 +31,7 @@ from .harness import (
 )
 from .policy import load_policy, save_policy
 from .rng import derive_seed, make_rng
-from .trainers import TrainConfig, train_kl_crm, train_pr_crm, train_wce_crm
+from .trainers import TRAINERS as _TRAINERS, TrainConfig
 
 
 def _collect_overrides(unknown: list[str]) -> dict[str, str]:
@@ -94,9 +94,6 @@ def cmd_mask(args):
     print(f"kept {len(S)} known / masked {len(S_u)} unknown rows into {args.out}")
 
 
-_TRAINERS = {"WCE": train_wce_crm, "KL": train_kl_crm, "PR": train_pr_crm}
-
-
 def cmd_train(args):
     S, S_u = read_bandit_csv(args.data)
     if args.init is not None:
@@ -115,7 +112,6 @@ def cmd_train(args):
         batch_unknown=args.batch_unknown,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        variant=args.algorithm,
     )
     policy, trace = _TRAINERS[args.algorithm](S, S_u, cfg, init)
     save_policy(policy, args.out)
@@ -197,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--alpha", type=float, default=0.9)
     tr.add_argument("--zeta", type=float, default=0.001)
     tr.add_argument("--tau", type=float, default=0.001)
-    tr.add_argument("--epochs", type=int, default=1000)
+    tr.add_argument("--epochs", type=int, default=1000,
+                    help="number of minibatch steps (not passes over the data)")
     tr.add_argument("--batch-known", type=int, default=64)
     tr.add_argument("--batch-unknown", type=int, default=256)
     tr.add_argument("--learning-rate", type=float, default=0.01)

@@ -6,9 +6,9 @@ e.g. ``--data.keep_fraction 0.2``.  The full key list is in the README.
 
 from __future__ import annotations
 
-from .estimators import TruncationParams
-from .harness import ExperimentConfig, SyntheticSpec
-from .trainers import TrainConfig
+from dataclasses import replace
+
+from .harness import ExperimentConfig
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -50,43 +50,26 @@ def _bool(value: str) -> bool:
 
 
 def experiment_config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat keys, defaulting everything unset."""
-    known = set(_HANDLERS)
-    unknown = sorted(set(keys) - known)
+    """Build an ExperimentConfig from flat keys, defaulting everything unset.
+
+    The sweep sets each cell's alpha, tau and seed itself, from
+    ``experiment.alphas``, ``experiment.taus`` and the master seed.
+    """
+    unknown = sorted(set(keys) - set(_HANDLERS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     cfg = ExperimentConfig()
-    synthetic = dict(
-        dim=cfg.synthetic.dim, num_classes=cfg.synthetic.num_classes,
-        separation=cfg.synthetic.separation, noise=cfg.synthetic.noise,
-    )
-    train = dict(
-        alpha=cfg.train.alpha, zeta=cfg.train.trunc.zeta, tau=cfg.train.trunc.tau,
-        epochs=cfg.train.epochs, batch_known=cfg.train.batch_known,
-        batch_unknown=cfg.train.batch_unknown,
-        learning_rate=cfg.train.learning_rate, seed=cfg.train.seed,
-        variant=cfg.train.variant,
-    )
-    top: dict = {}
+    parsed: dict[str, dict] = {"top": {}, "synthetic": {}, "train": {}}
     for key, value in keys.items():
         target, attr, conv = _HANDLERS[key]
-        parsed = conv(value)
-        if target == "synthetic":
-            synthetic[attr] = parsed
-        elif target == "train":
-            train[attr] = parsed
-        else:
-            top[attr] = parsed
-    top["synthetic"] = SyntheticSpec(**synthetic)
-    top["train"] = TrainConfig(
-        alpha=train["alpha"],
-        trunc=TruncationParams(zeta=train["zeta"], tau=train["tau"]),
-        epochs=train["epochs"], batch_known=train["batch_known"],
-        batch_unknown=train["batch_unknown"],
-        learning_rate=train["learning_rate"], seed=train["seed"],
-        variant=train["variant"],
+        parsed[target][attr] = conv(value)
+    train = parsed["train"]
+    zeta = train.pop("zeta", cfg.train.trunc.zeta)
+    return ExperimentConfig(
+        **parsed["top"],
+        synthetic=replace(cfg.synthetic, **parsed["synthetic"]),
+        train=replace(cfg.train, trunc=replace(cfg.train.trunc, zeta=zeta), **train),
     )
-    return ExperimentConfig(**top)
 
 
 # key -> (target object, attribute, converter)
@@ -108,15 +91,11 @@ _HANDLERS: dict[str, tuple[str, str, callable]] = {
     "experiment.dropped_action": ("top", "dropped_action", int),
     "experiment.timing": ("top", "timing", _bool),
     "experiment.output_dir": ("top", "output_dir", str),
-    "train.alpha": ("train", "alpha", float),
     "train.zeta": ("train", "zeta", float),
-    "train.tau": ("train", "tau", float),
     "train.epochs": ("train", "epochs", int),
     "train.batch_known": ("train", "batch_known", int),
     "train.batch_unknown": ("train", "batch_unknown", int),
     "train.learning_rate": ("train", "learning_rate", float),
-    "train.seed": ("train", "seed", int),
-    "train.variant": ("train", "variant", str),
 }
 
 CONFIG_KEYS = tuple(_HANDLERS)

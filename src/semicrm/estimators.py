@@ -1,5 +1,12 @@
 """Empirical risk and divergence estimators over logged bandit data.
 
+Every objective here is a sum over rows that depends on the policy only
+through log pi(a_i|x_i).  :data:`ROW_TERMS` holds one function per term --
+truncated IPS, WCE, forward KL and reverse KL -- that maps log pi on the rows
+it covers to per-row values and per-row factors d value / d log pi.  The
+estimators below sum the values after one forward pass; the trainers turn the
+factors into a gradient (see :mod:`semicrm.trainers`).
+
 All estimators are pure functions of (policy, samples) and reduce in fixed
 left-to-right order, so repeated evaluation is bit-identical.
 """
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AugmentedSample, LoggedKnownSample, LoggedUnknownSample
-from .policy import SoftmaxPolicy
+from .policy import SoftmaxPolicy, log_softmax
 
 
 @dataclass(frozen=True)
@@ -79,20 +86,94 @@ def stack_unknown(S_u: list[LoggedUnknownSample | AugmentedSample]) -> UnknownBa
     )
 
 
-def group_counts(actions: np.ndarray, action_count: int) -> np.ndarray:
-    """Per-action sample counts m_[i] for the current batch."""
-    return np.bincount(actions, minlength=action_count).astype(float)
+def concat_rows(known: KnownBatch | None, unknown: UnknownBatch | None) -> KnownBatch:
+    """Known rows followed by unknown rows, as one batch.
+
+    Unknown rows carry their pseudo-rewards, or NaN when they have none, so a
+    term that read a reward on them would show it in its value.
+    """
+    batches = [b for b in (known, unknown) if b is not None]
+    rewards = [] if known is None else [known.rewards]
+    if unknown is not None:
+        pseudo = unknown.pseudo_rewards
+        rewards.append(np.full(len(unknown), np.nan) if pseudo is None else pseudo)
+    return KnownBatch(
+        np.concatenate([b.contexts for b in batches]),
+        np.concatenate([b.actions for b in batches]),
+        np.concatenate([b.propensities for b in batches]),
+        np.concatenate(rewards),
+    )
 
 
-def group_weights(actions: np.ndarray, action_count: int) -> np.ndarray:
-    """Per-sample weight 1/m_[a]; groups with m_[a] = 0 never appear."""
-    counts = group_counts(actions, action_count)
-    return 1.0 / counts[actions]
+def _group_weights(actions: np.ndarray) -> np.ndarray:
+    """Per-row weight 1/m_[a], counting m_[a] over the given rows only."""
+    return 1.0 / np.bincount(actions)[actions]
 
 
-def _selected_probs(policy: SoftmaxPolicy, contexts, actions) -> np.ndarray:
-    probs = policy.probs_batch(contexts)
-    return probs[np.arange(len(actions)), actions]
+# ---- row terms --------------------------------------------------------------
+#
+# term(log_pi, actions, propensities, rewards, floor) -> (values, factors)
+# Each array holds one entry per row the term covers; the estimate is
+# sum(values) and factors[i] = d sum(values) / d log pi(a_i|x_i).
+
+
+def _ips_rows(log_pi, actions, propensities, rewards, zeta):
+    """Truncated IPS r pi / (n max(zeta, p)); as d pi / d log pi = pi, the
+    factors equal the values."""
+    if np.any(propensities <= 0.0):
+        raise ValueError("all propensities must be positive")
+    values = rewards * np.exp(log_pi) / (len(log_pi) * np.maximum(propensities, zeta))
+    return values, values
+
+
+def _wce_rows(log_pi, actions, propensities, rewards, tau):
+    """Truncated weighted cross-entropy -w max(tau, p) log pi, w = 1/m_[a]."""
+    factors = -_group_weights(actions) * np.maximum(propensities, tau)
+    return factors * log_pi, factors
+
+
+def _kl_rows(log_pi, actions, propensities, rewards, tau):
+    """Truncated forward KL w pi log(pi / max(tau, p)).
+
+    The policy enters both factors, so the factor is w pi (log(pi / max(tau, p)) + 1).
+    """
+    floored = np.maximum(propensities, tau)
+    if np.any(floored <= 0.0):
+        raise ValueError("tau = 0 requires strictly positive propensities")
+    weighted_pi = _group_weights(actions) * np.exp(log_pi)
+    log_ratio = log_pi - np.log(floored)
+    return weighted_pi * log_ratio, weighted_pi * (log_ratio + 1.0)
+
+
+def _rkl_rows(log_pi, actions, propensities, rewards, _floor):
+    """Reverse KL w (p log p - p log pi): WCE at tau = 0 plus the policy-free
+    constant w p log p (the WCE factors are -w p)."""
+    if np.any(propensities <= 0.0):
+        raise ValueError("all propensities must be positive")
+    values, factors = _wce_rows(log_pi, actions, propensities, rewards, 0.0)
+    return values - factors * np.log(propensities), factors
+
+
+ROW_TERMS = {"IPS": _ips_rows, "WCE": _wce_rows, "KL": _kl_rows, "RKL": _rkl_rows}
+REGULARIZERS = ("KL", "RKL", "WCE")
+
+
+def _log_pi(policy: SoftmaxPolicy, rows) -> np.ndarray:
+    """log pi(a_i|x_i) for every row, from one forward pass."""
+    scores, _ = policy.forward(rows.contexts)
+    return log_softmax(scores, rows.actions)
+
+
+def _estimate(term: str, policy: SoftmaxPolicy, rows, floor: float, rewards=None) -> float:
+    """Sum of one row term's values over ``rows``; no gradient is formed."""
+    values, _ = ROW_TERMS[term](
+        _log_pi(policy, rows), rows.actions, rows.propensities, rewards, floor
+    )
+    return float(np.sum(values))
+
+
+def _unknown_batch(S_u) -> UnknownBatch:
+    return S_u if isinstance(S_u, UnknownBatch) else stack_unknown(S_u)
 
 
 # ---- risk estimators -------------------------------------------------------
@@ -108,11 +189,7 @@ def truncated_ips_risk(
 ) -> float:
     """IPS risk with the propensity denominator floored at zeta."""
     batch = S if isinstance(S, KnownBatch) else stack_known(S)
-    if np.any(batch.propensities <= 0.0):
-        raise ValueError("all propensities must be positive")
-    pi = _selected_probs(policy, batch.contexts, batch.actions)
-    weights = pi / np.maximum(batch.propensities, zeta)
-    return float(np.sum(batch.rewards * weights) / len(batch))
+    return _estimate("IPS", policy, batch, zeta, batch.rewards)
 
 
 # ---- reward-free regularizers ----------------------------------------------
@@ -122,37 +199,19 @@ def kl_regularizer(
     policy: SoftmaxPolicy, S_u: list[LoggedUnknownSample], tau: float = 0.0
 ) -> float:
     """Truncated forward-KL estimate: per action group, mean of pi log(pi / max(tau, p))."""
-    batch = S_u if isinstance(S_u, UnknownBatch) else stack_unknown(S_u)
-    floored = np.maximum(batch.propensities, tau)
-    if np.any(floored <= 0.0):
-        raise ValueError("tau = 0 requires strictly positive propensities")
-    pi = _selected_probs(policy, batch.contexts, batch.actions)
-    w = group_weights(batch.actions, policy.action_count)
-    return float(np.sum(w * pi * (np.log(pi) - np.log(floored))))
+    return _estimate("KL", policy, _unknown_batch(S_u), tau)
 
 
 def rkl_regularizer(policy: SoftmaxPolicy, S_u: list[LoggedUnknownSample]) -> float:
     """Reverse-KL estimate: per action group, mean of -p log pi + p log p."""
-    batch = S_u if isinstance(S_u, UnknownBatch) else stack_unknown(S_u)
-    if np.any(batch.propensities <= 0.0):
-        raise ValueError("all propensities must be positive")
-    pi = _selected_probs(policy, batch.contexts, batch.actions)
-    w = group_weights(batch.actions, policy.action_count)
-    p = batch.propensities
-    return float(np.sum(w * (-p * np.log(pi) + p * np.log(p))))
+    return _estimate("RKL", policy, _unknown_batch(S_u), 0.0)
 
 
 def wce_regularizer(
     policy: SoftmaxPolicy, S_u: list[LoggedUnknownSample], tau: float = 0.0
 ) -> float:
     """Truncated weighted cross-entropy: per action group, mean of -max(tau, p) log pi."""
-    batch = S_u if isinstance(S_u, UnknownBatch) else stack_unknown(S_u)
-    pi = _selected_probs(policy, batch.contexts, batch.actions)
-    w = group_weights(batch.actions, policy.action_count)
-    return float(np.sum(w * (-np.maximum(batch.propensities, tau) * np.log(pi))))
-
-
-REGULARIZERS = ("KL", "RKL", "WCE")
+    return _estimate("WCE", policy, _unknown_batch(S_u), tau)
 
 
 def combined_objective(
@@ -169,15 +228,7 @@ def combined_objective(
     if variant not in REGULARIZERS:
         raise ValueError(f"variant must be one of {REGULARIZERS}, got {variant!r}")
     risk = truncated_ips_risk(policy, S, trunc.zeta) if alpha > 0.0 else 0.0
-    if alpha < 1.0:
-        if variant == "KL":
-            reg = kl_regularizer(policy, S_u, trunc.tau)
-        elif variant == "RKL":
-            reg = rkl_regularizer(policy, S_u)
-        else:
-            reg = wce_regularizer(policy, S_u, trunc.tau)
-    else:
-        reg = 0.0
+    reg = _estimate(variant, policy, _unknown_batch(S_u), trunc.tau) if alpha < 1.0 else 0.0
     return alpha * risk + (1.0 - alpha) * reg
 
 
@@ -194,27 +245,8 @@ def pseudo_reward_objective(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    known = stack_known(S)
-    n = len(known)
-    m = len(S_u_aug)
-    pi_known = _selected_probs(policy, known.contexts, known.actions)
-    ips_sum = float(
-        np.sum(known.rewards * pi_known / np.maximum(known.propensities, trunc.zeta))
-    )
-    if m > 0:
-        aug = stack_unknown(S_u_aug)
-        pi_aug = _selected_probs(policy, aug.contexts, aug.actions)
-        ips_sum += float(
-            np.sum(aug.pseudo_rewards * pi_aug / np.maximum(aug.propensities, trunc.zeta))
-        )
-        union_contexts = np.concatenate([known.contexts, aug.contexts])
-        union_actions = np.concatenate([known.actions, aug.actions])
-        union_props = np.concatenate([known.propensities, aug.propensities])
-    else:
-        union_contexts, union_actions, union_props = (
-            known.contexts, known.actions, known.propensities,
-        )
-    pi_union = _selected_probs(policy, union_contexts, union_actions)
-    w = group_weights(union_actions, policy.action_count)
-    wce = float(np.sum(w * (-np.maximum(union_props, trunc.tau) * np.log(pi_union))))
-    return alpha * ips_sum / (n + m) + (1.0 - alpha) * wce
+    rows = concat_rows(stack_known(S), stack_unknown(S_u_aug) if S_u_aug else None)
+    args = (_log_pi(policy, rows), rows.actions, rows.propensities, rows.rewards)
+    ips, _ = _ips_rows(*args, trunc.zeta)
+    wce, _ = _wce_rows(*args, trunc.tau)
+    return alpha * float(np.sum(ips)) + (1.0 - alpha) * float(np.sum(wce))

@@ -20,7 +20,7 @@ from .data import (
 from .estimators import TruncationParams
 from .policy import SoftmaxPolicy, softmax
 from .rng import derive_seed, make_rng
-from .trainers import TrainConfig, train_kl_crm, train_pr_crm, train_wce_crm
+from .trainers import TRAINERS as _TRAINERS, TrainConfig
 
 
 @dataclass
@@ -157,8 +157,6 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
 
 
-_TRAINERS = {"WCE": train_wce_crm, "KL": train_kl_crm, "PR": train_pr_crm}
-
 METRICS_HEADER = "algorithm,alpha,tau,seed,expected_risk,accuracy,runtime_seconds"
 
 
@@ -215,7 +213,7 @@ def run_experiment(
                             cfg, algorithm, alpha, tau, rep, rep_seed,
                             S, S_u, init, test_ds,
                         ))
-                    except Exception as exc:  # record and move on
+                    except ValueError as exc:  # a domain error: record, move on
                         errors.append(
                             f"{algorithm},alpha={alpha},tau={tau},seed={rep}: {exc}"
                         )
@@ -232,7 +230,6 @@ def _run_cell(cfg, algorithm, alpha, tau, rep, rep_seed, S, S_u, init, test_ds):
         alpha=alpha,
         trunc=TruncationParams(zeta=cfg.train.trunc.zeta, tau=tau),
         seed=derive_seed(rep_seed, f"train.{algorithm}.{alpha}.{tau}"),
-        variant=algorithm,
     )
     start = time.perf_counter()
     policy, _ = trainer(S, S_u, cell_cfg, init)

@@ -29,25 +29,6 @@ class PolicyGradient:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @staticmethod
-    def zeros_like(policy: "SoftmaxPolicy") -> "PolicyGradient":
-        return PolicyGradient(
-            [np.zeros_like(w) for w in policy.weights],
-            [np.zeros_like(b) for b in policy.biases],
-        )
-
-    def axpy(self, scale: float, other: "PolicyGradient") -> None:
-        """In-place ``self += scale * other``."""
-        for w, ow in zip(self.weights, other.weights):
-            w += scale * ow
-        for b, ob in zip(self.biases, other.biases):
-            b += scale * ob
-
-    def scaled(self, scale: float) -> "PolicyGradient":
-        return PolicyGradient(
-            [scale * w for w in self.weights], [scale * b for b in self.biases]
-        )
-
     def norm(self) -> float:
         total = 0.0
         for w in self.weights:
@@ -163,8 +144,7 @@ class SoftmaxPolicy:
 
     def log_probs(self, x: np.ndarray) -> np.ndarray:
         """log pi(.|x) via log-sum-exp, never log of the softmax output."""
-        s = self.scores(x)
-        return s - logsumexp(s)
+        return log_softmax(self.scores(x))[0]
 
     def grad_scalar(self, x: np.ndarray, a: int, mode: str = "log_prob") -> PolicyGradient:
         """Gradient of ``log pi(a|x)`` or ``pi(a|x)`` with respect to parameters."""
@@ -201,9 +181,18 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def logsumexp(s: np.ndarray) -> float:
-    m = float(np.max(s))
-    return m + float(np.log(np.sum(np.exp(s - m))))
+def log_softmax(scores: np.ndarray, actions: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log-softmax via log-sum-exp, finite wherever the scores are.
+
+    With ``actions``, only log pi(a_i|x_i) is returned, one value per row,
+    without building a second (N, k) matrix.
+    """
+    scores = np.atleast_2d(scores)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    if actions is None:
+        return shifted - log_norm[:, None]
+    return shifted[np.arange(len(actions)), actions] - log_norm
 
 
 # ---- checkpoint format -----------------------------------------------------

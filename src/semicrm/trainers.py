@@ -1,9 +1,14 @@
-"""Training loops for WCE-CRM, KL-CRM, and PR-CRM, plus the reward regressor.
+"""Training for WCE-CRM, KL-CRM and PR-CRM, plus the reward regressor.
 
-Gradients are computed analytically: every objective used here depends on the
-policy only through pi(a_i|x_i) on the batch rows, so dL/dscores is a
-per-row multiple of (e_a - probs) and backprop runs through the scorer once
-per batch.
+Every objective is alpha times the truncated IPS term plus (1 - alpha) times a
+regularizer term, both taken from :data:`semicrm.estimators.ROW_TERMS`.  A row
+term gives per-row values and factors d value / d log pi(a_i|x_i), and a factor
+f_i moves the scores of row i by f_i (e_a - pi(.|x_i)).  So one forward and one
+backward over a minibatch of known rows followed by unknown rows yield the
+value and gradient of the whole objective.  WCE-CRM and KL-CRM put the IPS term
+on the known rows and the regularizer on the unknown rows; PR-CRM puts the IPS
+and WCE terms on all rows, the unknown ones carrying pseudo-rewards.
+:data:`TRAINERS` maps each algorithm name to its trainer.
 """
 
 from __future__ import annotations
@@ -15,29 +20,27 @@ import numpy as np
 
 from .data import AugmentedSample, LoggedKnownSample, LoggedUnknownSample
 from .estimators import (
+    ROW_TERMS,
     KnownBatch,
     TruncationParams,
     UnknownBatch,
-    group_weights,
+    concat_rows,
     stack_known,
     stack_unknown,
 )
-from .policy import PolicyGradient, SoftmaxPolicy, softmax
+from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax
 from .rng import make_rng
-
-VARIANTS = ("WCE", "KL", "PR")
 
 
 @dataclass
 class TrainConfig:
     alpha: float = 0.9
     trunc: TruncationParams = field(default_factory=TruncationParams)
-    epochs: int = 1000
+    epochs: int = 1000  # minibatch steps, not passes over the data
     batch_known: int = 64
     batch_unknown: int = 256
     learning_rate: float = 0.01
     seed: int = 0
-    variant: str = "WCE"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -46,13 +49,11 @@ class TrainConfig:
             raise ValueError("epochs and batch sizes must be positive")
         if self.learning_rate <= 0 or not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 @dataclass
 class TrainTrace:
-    """Per-epoch objective pieces; written as CSV epoch,ips_term,reg_term,grad_norm,seconds."""
+    """Per-step objective pieces; written as CSV epoch,ips_term,reg_term,grad_norm,seconds."""
 
     epochs: list[int] = field(default_factory=list)
     ips_terms: list[float] = field(default_factory=list)
@@ -83,16 +84,38 @@ def _dscores(probs: np.ndarray, actions: np.ndarray, factors: np.ndarray) -> np.
     return ds
 
 
+_ALL_ROWS = slice(None)
+
+
+def _value_and_grad(
+    policy: SoftmaxPolicy, rows: KnownBatch, parts
+) -> tuple[list[float], PolicyGradient]:
+    """Values and gradient of sum_j scale_j * term_j over one batch of rows.
+
+    ``parts`` lists (term name, row slice, scale, floor); each term covers its
+    slice of ``rows``.  The values come back unscaled.  One forward and one
+    backward serve every term.
+    """
+    scores, cache = policy.forward(rows.contexts)
+    probs = softmax(scores)
+    log_pi = log_softmax(scores, rows.actions)
+    factors = np.zeros(len(rows))
+    values = []
+    for term, part, scale, floor in parts:
+        value, factor = ROW_TERMS[term](
+            log_pi[part], rows.actions[part], rows.propensities[part],
+            rows.rewards[part], floor,
+        )
+        factors[part] += scale * factor
+        values.append(float(np.sum(value)))
+    return values, policy.backward(cache, _dscores(probs, rows.actions, factors))
+
+
 def grad_truncated_ips(
     policy: SoftmaxPolicy, batch: KnownBatch, zeta: float
 ) -> tuple[float, PolicyGradient]:
     """Value and gradient of (1/n) sum r_i pi(a_i|x_i) / max(zeta, p_i)."""
-    scores, cache = policy.forward(batch.contexts)
-    probs = softmax(scores)
-    pi = probs[np.arange(len(batch)), batch.actions]
-    inv = batch.rewards / (len(batch) * np.maximum(batch.propensities, zeta))
-    value = float(np.sum(inv * pi))
-    grad = policy.backward(cache, _dscores(probs, batch.actions, inv * pi))
+    (value,), grad = _value_and_grad(policy, batch, [("IPS", _ALL_ROWS, 1.0, zeta)])
     return value, grad
 
 
@@ -100,35 +123,17 @@ def grad_wce(
     policy: SoftmaxPolicy, batch: UnknownBatch, tau: float
 ) -> tuple[float, PolicyGradient]:
     """Value and gradient of the truncated weighted cross-entropy regularizer."""
-    scores, cache = policy.forward(batch.contexts)
-    probs = softmax(scores)
-    pi = probs[np.arange(len(batch)), batch.actions]
-    w = group_weights(batch.actions, policy.action_count)
-    coeff = -w * np.maximum(batch.propensities, tau)  # dL/dlog(pi)
-    value = float(np.sum(coeff * np.log(pi)))
-    grad = policy.backward(cache, _dscores(probs, batch.actions, coeff))
+    rows = concat_rows(None, batch)
+    (value,), grad = _value_and_grad(policy, rows, [("WCE", _ALL_ROWS, 1.0, tau)])
     return value, grad
 
 
 def grad_kl(
     policy: SoftmaxPolicy, batch: UnknownBatch, tau: float
 ) -> tuple[float, PolicyGradient]:
-    """Value and gradient of the truncated forward-KL regularizer.
-
-    The policy enters both factors of pi log(pi / max(tau, p)), so
-    dL/dpi = w (log(pi / max(tau, p)) + 1).
-    """
-    floored = np.maximum(batch.propensities, tau)
-    if np.any(floored <= 0.0):
-        raise ValueError("tau = 0 requires strictly positive propensities")
-    scores, cache = policy.forward(batch.contexts)
-    probs = softmax(scores)
-    pi = probs[np.arange(len(batch)), batch.actions]
-    w = group_weights(batch.actions, policy.action_count)
-    log_ratio = np.log(pi) - np.log(floored)
-    value = float(np.sum(w * pi * log_ratio))
-    dpi = w * (log_ratio + 1.0)
-    grad = policy.backward(cache, _dscores(probs, batch.actions, dpi * pi))
+    """Value and gradient of the truncated forward-KL regularizer."""
+    rows = concat_rows(None, batch)
+    (value,), grad = _value_and_grad(policy, rows, [("KL", _ALL_ROWS, 1.0, tau)])
     return value, grad
 
 
@@ -141,31 +146,15 @@ def grad_pseudo_reward(
 ) -> tuple[float, float, PolicyGradient]:
     """(ips_term, wce_term, gradient) of the pseudo-reward objective on one batch pair.
 
-    The regularizer groups actions over the union of the two batches.
+    Both terms cover the union of the two batches, so the regularizer groups
+    actions over it.
     """
-    if aug is not None and len(aug) > 0:
-        contexts = np.concatenate([known.contexts, aug.contexts])
-        actions = np.concatenate([known.actions, aug.actions])
-        props = np.concatenate([known.propensities, aug.propensities])
-        rewards = np.concatenate([known.rewards, aug.pseudo_rewards])
-    else:
-        contexts, actions, props = known.contexts, known.actions, known.propensities
-        rewards = known.rewards
-    total = len(actions)
-    scores, cache = policy.forward(contexts)
-    probs = softmax(scores)
-    pi = probs[np.arange(total), actions]
-    ips_coeff = alpha * rewards / (total * np.maximum(props, trunc.zeta))
-    ips_term = float(np.sum(ips_coeff * pi)) / alpha if alpha > 0 else 0.0
-    w = group_weights(actions, policy.action_count)
-    wce_coeff = -(1.0 - alpha) * w * np.maximum(props, trunc.tau)
-    wce_term = float(np.sum(w * (-np.maximum(props, trunc.tau)) * np.log(pi)))
-    factors = ips_coeff * pi + wce_coeff
-    grad = policy.backward(cache, _dscores(probs, actions, factors))
+    parts = [("IPS", _ALL_ROWS, alpha, trunc.zeta), ("WCE", _ALL_ROWS, 1.0 - alpha, trunc.tau)]
+    (ips_term, wce_term), grad = _value_and_grad(policy, concat_rows(known, aug), parts)
     return ips_term, wce_term, grad
 
 
-# ---- regularized CRM trainers ----------------------------------------------
+# ---- the training loop -----------------------------------------------------
 
 
 def _sample_indices(rng: np.random.Generator, size: int, batch: int) -> np.ndarray:
@@ -177,50 +166,46 @@ def _sample_indices(rng: np.random.Generator, size: int, batch: int) -> np.ndarr
     return np.sort(rng.permutation(size)[:batch])
 
 
-def _slice_known(batch: KnownBatch, idx: np.ndarray) -> KnownBatch:
-    return KnownBatch(batch.contexts[idx], batch.actions[idx],
-                      batch.propensities[idx], batch.rewards[idx])
-
-
-def _slice_unknown(batch: UnknownBatch, idx: np.ndarray) -> UnknownBatch:
-    pseudo = None if batch.pseudo_rewards is None else batch.pseudo_rewards[idx]
-    return UnknownBatch(batch.contexts[idx], batch.actions[idx],
-                        batch.propensities[idx], pseudo)
-
-
-def _train_regularized(
+def _descend(
     S: list[LoggedKnownSample],
-    S_u: list[LoggedUnknownSample],
+    S_u: list[LoggedUnknownSample | AugmentedSample],
     cfg: TrainConfig,
     init: SoftmaxPolicy,
-    reg_grad_fn,
+    regularizer: str,
+    pooled: bool,
 ) -> tuple[SoftmaxPolicy, TrainTrace]:
+    """Minibatch descent on alpha * truncated IPS + (1 - alpha) * regularizer.
+
+    Each step draws known rows, then unknown rows, and takes one gradient
+    step on the two together.  Pooled, both terms cover every row of the
+    minibatch; otherwise IPS covers the known rows and the regularizer the
+    unknown rows.
+    """
     if cfg.alpha > 0.0 and not S:
         raise ValueError("alpha > 0 requires a nonempty known-reward dataset")
-    if cfg.alpha < 1.0 and not S_u:
+    if cfg.alpha < 1.0 and not (S_u or (pooled and S)):
         raise ValueError("alpha < 1 requires a nonempty unknown-reward dataset")
-    known = stack_known(S) if S else None
-    unknown = stack_unknown(S_u) if S_u else None
+    rows = concat_rows(stack_known(S) if S else None, stack_unknown(S_u) if S_u else None)
+    n_known, n_unknown = len(S), len(S_u)
+    batch_known = min(cfg.batch_known, n_known)
+    batch_unknown = min(cfg.batch_unknown, n_unknown)
+    known = _ALL_ROWS if pooled else slice(0, batch_known)
+    unknown = _ALL_ROWS if pooled else slice(batch_known, None)
+    parts = [("IPS", known, cfg.alpha, cfg.trunc.zeta),
+             (regularizer, unknown, 1.0 - cfg.alpha, cfg.trunc.tau)]
     policy = init.copy()
     trace = TrainTrace()
     rng = make_rng(cfg.seed)
-    for epoch in range(cfg.epochs):
+    for step in range(cfg.epochs):
         start = time.perf_counter()
-        ips_value, reg_value = 0.0, 0.0
-        g1 = g2 = None
-        if known is not None:
-            idx = _sample_indices(rng, len(known), min(cfg.batch_known, len(known)))
-            ips_value, g1 = grad_truncated_ips(policy, _slice_known(known, idx), cfg.trunc.zeta)
-        if unknown is not None:
-            idx = _sample_indices(rng, len(unknown), min(cfg.batch_unknown, len(unknown)))
-            reg_value, g2 = reg_grad_fn(policy, _slice_unknown(unknown, idx), cfg.trunc.tau)
-        update = PolicyGradient.zeros_like(policy)
-        if g1 is not None and cfg.alpha > 0.0:
-            update.axpy(cfg.alpha, g1)
-        if g2 is not None and cfg.alpha < 1.0:
-            update.axpy(1.0 - cfg.alpha, g2)
-        policy.apply_update(update, cfg.learning_rate)
-        trace.append(epoch, ips_value, reg_value, update.norm(),
+        idx_known = _sample_indices(rng, n_known, batch_known)
+        idx_unknown = _sample_indices(rng, n_unknown, batch_unknown)
+        idx = np.concatenate([idx_known, n_known + idx_unknown])
+        batch = KnownBatch(rows.contexts[idx], rows.actions[idx],
+                           rows.propensities[idx], rows.rewards[idx])
+        (ips_value, reg_value), grad = _value_and_grad(policy, batch, parts)
+        policy.apply_update(grad, cfg.learning_rate)
+        trace.append(step, ips_value, reg_value, grad.norm(),
                      time.perf_counter() - start)
     return policy, trace
 
@@ -232,7 +217,7 @@ def train_wce_crm(
     init: SoftmaxPolicy,
 ) -> tuple[SoftmaxPolicy, TrainTrace]:
     """Minibatch descent on alpha * truncated IPS + (1 - alpha) * truncated WCE."""
-    return _train_regularized(S, S_u, cfg, init, grad_wce)
+    return _descend(S, S_u, cfg, init, "WCE", pooled=False)
 
 
 def train_kl_crm(
@@ -242,7 +227,7 @@ def train_kl_crm(
     init: SoftmaxPolicy,
 ) -> tuple[SoftmaxPolicy, TrainTrace]:
     """As WCE-CRM with the forward-KL regularizer in place of WCE."""
-    return _train_regularized(S, S_u, cfg, init, grad_kl)
+    return _descend(S, S_u, cfg, init, "KL", pooled=False)
 
 
 # ---- pseudo-reward pipeline ------------------------------------------------
@@ -272,20 +257,20 @@ class RewardRegressor:
 
 
 def fit_reward_regressor(
-    S: list[LoggedKnownSample], ridge: float = 1e-8
+    S: list[LoggedKnownSample], action_count: int, ridge: float = 1e-8
 ) -> RewardRegressor:
     """Propensity-weighted least squares in closed form (normal equations).
 
     Minimizes (1/P) sum p_i (r_i - phi_i . beta)^2 + ridge * |beta|^2 with
-    P = sum p_i; the tiny ridge keeps rank-deficient designs solvable.
+    P = sum p_i; the tiny ridge keeps rank-deficient designs solvable, including
+    the one-hot column of an action that no row of S took.
     """
     batch = stack_known(S)
     total_p = float(np.sum(batch.propensities))
     if total_p <= 0.0:
         raise ValueError("propensity weights sum to zero")
     d = batch.contexts.shape[1]
-    k = int(batch.actions.max()) + 1
-    reg = RewardRegressor(np.zeros(d + k + 1), d, k)
+    reg = RewardRegressor(np.zeros(d + action_count + 1), d, action_count)
     phi = reg.features(batch.contexts, batch.actions)
     w = batch.propensities / total_p
     gram = phi.T @ (w[:, None] * phi) + ridge * np.eye(phi.shape[1])
@@ -311,38 +296,14 @@ def train_pr_crm(
     S_u: list[LoggedUnknownSample],
     cfg: TrainConfig,
     init: SoftmaxPolicy,
-    pseudo_rewards: list[AugmentedSample] | None = None,
 ) -> tuple[SoftmaxPolicy, TrainTrace]:
     """Fit the reward regressor on S, augment S_u with pseudo-rewards, then run
     minibatch descent on the pseudo-reward objective.
-
-    Pass ``pseudo_rewards`` to skip the regression phase (oracle injection).
     """
-    if cfg.alpha > 0.0 and not S:
-        raise ValueError("alpha > 0 requires a nonempty known-reward dataset")
-    if pseudo_rewards is None:
-        if S_u:
-            regressor = fit_reward_regressor(S)
-            pseudo_rewards = predict_pseudo_rewards(regressor, S_u)
-        else:
-            pseudo_rewards = []
-    known = stack_known(S)
-    aug = stack_unknown(pseudo_rewards) if pseudo_rewards else None
-    policy = init.copy()
-    trace = TrainTrace()
-    rng = make_rng(cfg.seed)
-    for epoch in range(cfg.epochs):
-        start = time.perf_counter()
-        idx_k = _sample_indices(rng, len(known), min(cfg.batch_known, len(known)))
-        known_batch = _slice_known(known, idx_k)
-        aug_batch = None
-        if aug is not None:
-            idx_u = _sample_indices(rng, len(aug), min(cfg.batch_unknown, len(aug)))
-            aug_batch = _slice_unknown(aug, idx_u)
-        ips_value, wce_value, grad = grad_pseudo_reward(
-            policy, known_batch, aug_batch, cfg.alpha, cfg.trunc
-        )
-        policy.apply_update(grad, cfg.learning_rate)
-        trace.append(epoch, ips_value, wce_value, grad.norm(),
-                     time.perf_counter() - start)
-    return policy, trace
+    aug = []
+    if S_u:
+        aug = predict_pseudo_rewards(fit_reward_regressor(S, init.action_count), S_u)
+    return _descend(S, aug, cfg, init, "WCE", pooled=True)
+
+
+TRAINERS = {"WCE": train_wce_crm, "KL": train_kl_crm, "PR": train_pr_crm}

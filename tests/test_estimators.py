@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     make_known,
     make_unknown,
@@ -23,11 +25,13 @@ from semicrm.estimators import (
     kl_regularizer,
     pseudo_reward_objective,
     rkl_regularizer,
+    stack_unknown,
     truncated_ips_risk,
     wce_regularizer,
 )
 from semicrm.policy import SoftmaxPolicy
 from semicrm.rng import make_rng
+from semicrm.trainers import grad_kl, grad_wce
 
 
 def random_unknowns(n=30, d=2, k=3, seed=0):
@@ -268,3 +272,42 @@ class TestPermutationInvariance:
             wce_regularizer(policy, S_u_p, 0.01), abs=1e-12)
         assert rkl_regularizer(policy, S_u) == pytest.approx(
             rkl_regularizer(policy, S_u_p), abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.data())
+    def test_row_order_property(self, seed, data):
+        rng = make_rng(seed)
+        n = data.draw(st.integers(1, 40))
+        perm = data.draw(st.permutations(range(n)))
+        S = [make_known(rng.standard_normal(2), int(rng.choice(3)),
+                        float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
+             for _ in range(n)]
+        S_u = [make_unknown(s.context, s.action, s.propensity) for s in S]
+        policy = SoftmaxPolicy.create(2, 3, (5,), rng)
+        estimates = [
+            lambda rows: truncated_ips_risk(policy, rows, 0.1),
+            lambda rows: kl_regularizer(policy, rows, 0.1),
+            lambda rows: rkl_regularizer(policy, rows),
+            lambda rows: wce_regularizer(policy, rows, 0.1),
+        ]
+        for estimate, rows in zip(estimates, (S, S_u, S_u, S_u)):
+            # relative 1e-12; the absolute floor covers sums that cancel to ~0
+            assert estimate([rows[i] for i in perm]) == pytest.approx(
+                estimate(rows), rel=1e-12, abs=1e-12)
+
+
+class TestUnderflow:
+    def test_finite_when_the_logged_action_underflows(self):
+        # the logged action scores 1000 below the other, so softmax gives it
+        # exactly 0 and log(softmax) would be -inf
+        policy = SoftmaxPolicy(weights=[np.zeros((2, 2))], biases=[np.array([0.0, -1000.0])])
+        assert policy.probs_batch(np.zeros((1, 2)))[0, 1] == 0.0
+        S_u = [make_unknown([0.3, -0.2], 1, 0.4), make_unknown([0.1, 0.5], 0, 0.6)]
+        batch = stack_unknown(S_u)
+        assert wce_regularizer(policy, S_u, 0.01) == pytest.approx(
+            0.4 * 1000.0 + 0.6 * math.log1p(math.exp(-1000.0)))
+        assert math.isfinite(kl_regularizer(policy, S_u, 0.01))
+        for grad_fn in (grad_wce, grad_kl):
+            value, grad = grad_fn(policy, batch, 0.01)
+            assert math.isfinite(value)
+            assert all(np.all(np.isfinite(g)) for g in grad.weights + grad.biases)

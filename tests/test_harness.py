@@ -7,6 +7,7 @@ from semicrm.config import (
     experiment_config_from_keys,
     parse_config_text,
 )
+from semicrm import harness
 from semicrm.data import SupervisedDataset
 from semicrm.harness import (
     METRICS_HEADER,
@@ -161,6 +162,32 @@ class TestRunExperiment:
         assert errors == []
         assert len(rows) == 6
 
+    def test_pr_with_highest_action_dropped(self):
+        # the reward regressor must size its one-hot block by the policy's
+        # action count, not by the largest action seen among rewarded rows
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(dim=4, num_classes=3), train_rows=600,
+            test_rows=200, algorithms=("PR",), alphas=(0.9,), repetitions=1,
+            dropped_action=2,
+        )
+        rows, errors = run_experiment(cfg)
+        assert errors == []
+        assert len(rows) == 1 and np.isfinite(rows[0].expected_risk)
+
+    def test_only_value_errors_become_cell_errors(self, monkeypatch):
+        def fails_with(exc):
+            def trainer(S, S_u, cfg, init):
+                raise exc
+            return trainer
+
+        monkeypatch.setitem(harness._TRAINERS, "WCE", fails_with(ValueError("bad data")))
+        rows, errors = run_experiment(tiny_config())
+        assert len(errors) == 4 and all(e.endswith(": bad data") for e in errors)
+        assert [r.algorithm for r in rows] == ["logging", "logging"]
+        monkeypatch.setitem(harness._TRAINERS, "WCE", fails_with(TypeError("a bug")))
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(tiny_config())
+
     def test_timing_enabled_records_positive_time(self):
         rows, _ = run_experiment(tiny_config(timing=True, algorithms=("WCE",)))
         assert all(r.runtime_seconds > 0.0 for r in rows)
@@ -217,7 +244,6 @@ class TestConfig:
             "experiment.alphas": "0.2, 0.8",
             "experiment.timing": "true",
             "train.epochs": "12",
-            "train.variant": "PR",
         })
         assert cfg.train_rows == 123
         assert cfg.keep_fraction == 0.25
@@ -227,7 +253,6 @@ class TestConfig:
         assert cfg.alphas == (0.2, 0.8)
         assert cfg.timing is True
         assert cfg.train.epochs == 12
-        assert cfg.train.variant == "PR"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

@@ -8,11 +8,13 @@ from semicrm.bounds import random_environment
 from semicrm.data import AugmentedSample, supervised_to_bandit
 from semicrm.estimators import (
     TruncationParams,
+    combined_objective,
+    pseudo_reward_objective,
     stack_known,
     stack_unknown,
 )
 from semicrm.harness import SyntheticSpec, generate_synthetic
-from semicrm.policy import SoftmaxPolicy
+from semicrm.policy import PolicyGradient, SoftmaxPolicy
 from semicrm.rng import make_rng
 from semicrm.trainers import (
     TrainConfig,
@@ -114,6 +116,30 @@ class TestObjectiveGradients:
         check_gradient(policy, value, grad)
 
 
+class TestValuesAndGradientsShareOneDefinition:
+    """One full-batch step at learning rate 1 moves the parameters by minus the
+    gradient, which must match finite differences of the public value function."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("algorithm", ["WCE", "KL", "PR"])
+    def test_step_is_gradient_of_public_objective(self, algorithm, alpha):
+        S, S_u = random_batches(3, n=12, m=16)
+        init = SoftmaxPolicy.create(3, 3, (5,), make_rng(40))
+        trunc = TruncationParams(zeta=0.05, tau=0.05)
+        cfg = TrainConfig(alpha=alpha, trunc=trunc, epochs=1, batch_known=len(S),
+                          batch_unknown=len(S_u), learning_rate=1.0)
+        trainer = {"WCE": train_wce_crm, "KL": train_kl_crm, "PR": train_pr_crm}[algorithm]
+        stepped, _ = trainer(S, S_u, cfg, init)
+        if algorithm == "PR":
+            aug = predict_pseudo_rewards(fit_reward_regressor(S, 3), S_u)
+            value_fn = lambda p: pseudo_reward_objective(p, S, aug, alpha, trunc)
+        else:
+            value_fn = lambda p: combined_objective(p, S, S_u, alpha, trunc, algorithm)
+        step = PolicyGradient([a - b for a, b in zip(init.weights, stepped.weights)],
+                              [a - b for a, b in zip(init.biases, stepped.biases)])
+        check_gradient(init, value_fn, step)
+
+
 class TestHandWorkedStep:
     def test_single_step_matches_manual_arithmetic(self):
         # one-hidden-unit scorer: h = relu(w x + b), scores = (u0 h + c0, u1 h + c1)
@@ -130,7 +156,7 @@ class TestHandWorkedStep:
         S_u = [make_unknown([x_u], a_u, p_u)]
         cfg = TrainConfig(alpha=alpha, trunc=TruncationParams(),
                           epochs=1, batch_known=1, batch_unknown=1,
-                          learning_rate=lr, seed=0, variant="WCE")
+                          learning_rate=lr, seed=0)
         trained, _ = train_wce_crm(S, S_u, cfg, policy)
 
         def forward(x):
@@ -180,7 +206,7 @@ class TestTrainerContracts:
     def cfg(self, **kw):
         defaults = dict(alpha=0.5, trunc=TruncationParams(zeta=0.01, tau=0.01),
                         epochs=5, batch_known=20, batch_unknown=30,
-                        learning_rate=0.05, seed=7, variant="WCE")
+                        learning_rate=0.05, seed=7)
         defaults.update(kw)
         return TrainConfig(**defaults)
 
@@ -194,7 +220,7 @@ class TestTrainerContracts:
     def test_alpha_one_wce_and_kl_agree(self):
         S, S_u, init = self.make_setup(1)
         p_wce, _ = train_wce_crm(S, S_u, self.cfg(alpha=1.0), init)
-        p_kl, _ = train_kl_crm(S, S_u, self.cfg(alpha=1.0, variant="KL"), init)
+        p_kl, _ = train_kl_crm(S, S_u, self.cfg(alpha=1.0), init)
         assert np.array_equal(flat_params(p_wce), flat_params(p_kl))
 
     def test_alpha_linearity_of_update(self):
@@ -243,7 +269,7 @@ class TestTrainerContracts:
         from semicrm.estimators import kl_regularizer
 
         S, S_u, init = self.make_setup(4)
-        cfg = self.cfg(alpha=0.0, epochs=300, variant="KL", learning_rate=0.05)
+        cfg = self.cfg(alpha=0.0, epochs=300, learning_rate=0.05)
         policy, _ = train_kl_crm(S, S_u, cfg, init)
         assert (kl_regularizer(policy, S_u, 0.01)
                 <= kl_regularizer(init, S_u, 0.01))
@@ -254,7 +280,7 @@ class TestRewardRegressor:
         rng = make_rng(20)
         S = [make_known(rng.standard_normal(3), int(rng.choice(2)),
                         float(rng.uniform(0.1, 1.0)), -1.0) for _ in range(40)]
-        reg = fit_reward_regressor(S)
+        reg = fit_reward_regressor(S, 2)
         for s in S:
             assert reg.predict(s.context, s.action) == pytest.approx(-1.0, abs=1e-6)
 
@@ -263,7 +289,7 @@ class TestRewardRegressor:
         S = [make_known(rng.standard_normal(3), int(rng.choice(3)),
                         float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 0)))
              for _ in range(60)]
-        reg = fit_reward_regressor(S)
+        reg = fit_reward_regressor(S, 3)
         batch = stack_known(S)
         phi = reg.features(batch.contexts, batch.actions)
         total_p = batch.propensities.sum()
@@ -276,7 +302,7 @@ class TestRewardRegressor:
         S = [make_known(rng.standard_normal(2), int(rng.choice(2)),
                         float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 0)))
              for _ in range(50)]
-        reg = fit_reward_regressor(S)
+        reg = fit_reward_regressor(S, 2)
         batch = stack_known(S)
         phi = reg.features(batch.contexts, batch.actions)
         wts = batch.propensities / batch.propensities.sum()
@@ -288,7 +314,7 @@ class TestRewardRegressor:
 
     def test_pseudo_reward_clamping(self):
         reg = fit_reward_regressor([make_known([0.0], 0, 0.5, -1.0),
-                                    make_known([1.0], 0, 0.5, -1.0)])
+                                    make_known([1.0], 0, 0.5, -1.0)], 1)
         reg.weights[:] = 0.0
         reg.weights[-1] = 0.3   # constant raw prediction 0.3
         aug = predict_pseudo_rewards(reg, [make_unknown([2.0], 0, 0.5)])
@@ -305,12 +331,12 @@ class TestPrCrm:
         alpha = 0.4
         cfg_pr = TrainConfig(alpha=alpha, trunc=TruncationParams(zeta=0.01, tau=0.01),
                              epochs=20, batch_known=25, batch_unknown=5,
-                             learning_rate=0.05, seed=9, variant="PR")
+                             learning_rate=0.05, seed=9)
         p_pr, _ = train_pr_crm(S, [], cfg_pr, init)
         S_u_from_S = [make_unknown(s.context, s.action, s.propensity) for s in S]
         cfg_wce = TrainConfig(alpha=alpha, trunc=TruncationParams(zeta=0.01, tau=0.01),
                               epochs=20, batch_known=25, batch_unknown=25,
-                              learning_rate=0.05, seed=9, variant="WCE")
+                              learning_rate=0.05, seed=9)
         p_wce, _ = train_wce_crm(S, S_u_from_S, cfg_wce, init)
         assert np.max(np.abs(flat_params(p_pr) - flat_params(p_wce))) < 1e-12
 
@@ -322,7 +348,7 @@ class TestPrCrm:
         init = SoftmaxPolicy.create(4, 3, (10,), make_rng(31))
         cfg = TrainConfig(alpha=0.8, trunc=TruncationParams(zeta=0.01, tau=0.01),
                           epochs=200, batch_known=64, batch_unknown=128,
-                          learning_rate=0.05, seed=32, variant="PR")
+                          learning_rate=0.05, seed=32)
         _, trace = train_pr_crm(S, S_u, cfg, init)
         first = 0.8 * trace.ips_terms[0] + 0.2 * trace.reg_terms[0]
         last = 0.8 * trace.ips_terms[-1] + 0.2 * trace.reg_terms[-1]
@@ -332,7 +358,7 @@ class TestPrCrm:
         S, S_u = random_batches(6, n=20, m=30)
         init = SoftmaxPolicy.create(3, 3, (6,), make_rng(106))
         cfg = TrainConfig(alpha=0.7, epochs=10, batch_known=10, batch_unknown=15,
-                          learning_rate=0.02, seed=3, variant="PR")
+                          learning_rate=0.02, seed=3)
         p1, _ = train_pr_crm(S, S_u, cfg, init)
         p2, _ = train_pr_crm(S, S_u, cfg, init)
         assert np.array_equal(flat_params(p1), flat_params(p2))

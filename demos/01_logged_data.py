@@ -29,18 +29,17 @@ print(f"logging policy (fit on 5% of rows): expected risk {risk:.4f}, "
       f"accuracy {acc:.4f}")
 
 S_all = supervised_to_bandit(ds, logging_policy, make_rng(1))
-rewarded = sum(1 for s in S_all if s.reward == -1.0)
+rewarded = int(np.sum(S_all.rewards == -1.0))
 print(f"\nbandit log: {len(S_all)} rows; action drawn from the logging policy,")
 print(f"reward -1 iff the action matches the label ({rewarded} rows, "
       f"{rewarded / len(S_all):.1%})")
 
-sample = S_all[0]
-print(f"example row: action={sample.action}, propensity={sample.propensity:.4f}, "
-      f"reward={sample.reward:+.0f}")
+print(f"example row: action={S_all.actions[0]}, "
+      f"propensity={S_all.propensities[0]:.4f}, reward={S_all.rewards[0]:+.0f}")
 
 S, S_u = mask_rewards(S_all, keep_fraction=0.1, rng=make_rng(2))
 print(f"\nafter masking: {len(S)} rows keep their reward, "
-      f"{len(S_u)} rows have action and propensity only")
-props = np.array([s.propensity for s in S_u])
+      f"{len(S_u)} rows have action and propensity only (reward NaN)")
+props = S_u.propensities
 print(f"propensities on the unknown-reward set: "
       f"min {props.min():.4f}, median {np.median(props):.4f}, max {props.max():.4f}")

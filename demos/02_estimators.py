@@ -12,7 +12,6 @@ so we can watch the sample-based estimators converge:
 import numpy as np
 
 from semicrm import (
-    LoggedUnknownSample,
     SoftmaxPolicy,
     exact_divergences,
     exact_true_risk,
@@ -42,7 +41,7 @@ print(f"oracle: true risk {true_risk:.4f}, KL {D:.4f}, "
 print(f"{'m':>8} {'IPS risk':>10} {'KL est':>10} {'RKL est':>10}")
 for m in (100, 1_000, 10_000, 100_000):
     S = env.sample_logged(m, make_rng(m))
-    S_u = [LoggedUnknownSample(s.context, s.action, s.propensity) for s in S]
+    S_u = S.with_rewards(np.nan)  # the same rows with their rewards hidden
     ips = truncated_ips_risk(policy, S, zeta=0.001)
     kl = kl_regularizer(policy, S_u, tau=0.001)
     rkl = rkl_regularizer(policy, S_u)
@@ -50,8 +49,7 @@ for m in (100, 1_000, 10_000, 100_000):
 
 print(f"{'exact':>8} {true_risk:>10.4f} {D:>10.4f} {D_r:>10.4f}")
 
-S_u = [LoggedUnknownSample(s.context, s.action, s.propensity)
-       for s in env.sample_logged(10_000, make_rng(3))]
+S_u = env.sample_logged(10_000, make_rng(3)).with_rewards(np.nan)
 wce = wce_regularizer(policy, S_u, tau=0.001)
 print(f"\nweighted cross-entropy (RKL minus the policy-free entropy term): {wce:.4f}")
 print("minimizing WCE over policies is equivalent to minimizing RKL.")

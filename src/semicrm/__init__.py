@@ -23,9 +23,7 @@ from .bounds import (
     write_environment,
 )
 from .data import (
-    AugmentedSample,
-    LoggedKnownSample,
-    LoggedUnknownSample,
+    BanditLog,
     SupervisedDataset,
     drop_action,
     mask_rewards,
@@ -62,6 +60,7 @@ from .rng import derive_seed, make_rng, stage_rng
 from .trainers import (
     RewardRegressor,
     TrainConfig,
+    TrainingDiverged,
     TrainTrace,
     fit_reward_regressor,
     predict_pseudo_rewards,

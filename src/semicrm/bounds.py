@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LoggedKnownSample
+from .data import BanditLog
 
 
 @dataclass
@@ -62,19 +62,13 @@ class DiscreteEnvironment:
                              self.target_table / self.logging_table, 0.0)
         return float(np.max(ratio))
 
-    def sample_logged(self, n: int, rng: np.random.Generator) -> list[LoggedKnownSample]:
-        """Draw n logged samples (x ~ P_X, a ~ logging policy); context is one-hot."""
+    def sample_logged(self, n: int, rng: np.random.Generator) -> BanditLog:
+        """Draw n logged rows (x ~ P_X, a ~ logging policy); contexts are one-hot."""
         xs = rng.choice(self.num_contexts, size=n, p=self.context_probs)
         cdf = np.cumsum(self.logging_table, axis=1)
         acts = (rng.random(n)[:, None] > cdf[xs]).sum(axis=1)
-        eye = np.eye(self.num_contexts)
-        return [
-            LoggedKnownSample(
-                eye[x].copy(), int(a),
-                float(self.logging_table[x, a]), float(self.reward_table[x, a]),
-            )
-            for x, a in zip(xs, acts)
-        ]
+        return BanditLog(np.eye(self.num_contexts)[xs], acts, self.logging_table[xs, acts],
+                         self.reward_table[xs, acts], self.action_count)
 
 
 def random_environment(

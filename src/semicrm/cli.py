@@ -29,7 +29,7 @@ from .harness import (
     run_experiment,
     train_logging_policy,
 )
-from .policy import load_policy, save_policy
+from .policy import SoftmaxPolicy, load_policy, save_policy
 from .rng import derive_seed, make_rng
 from .trainers import TRAINERS as _TRAINERS, TrainConfig
 
@@ -85,12 +85,12 @@ def cmd_to_bandit(args):
 
 def cmd_mask(args):
     known, unknown = read_bandit_csv(args.data)
-    if unknown:
+    if len(unknown):
         raise SystemExit("input already contains unknown-reward rows")
     rng = make_rng(derive_seed(args.seed, "mask"))
     S, S_u = mask_rewards(known, args.keep_fraction, rng,
                           stratify_by_action=args.stratify)
-    write_bandit_csv(args.out, S, S_u)
+    write_bandit_csv(args.out, S.concat(S_u))
     print(f"kept {len(S)} known / masked {len(S_u)} unknown rows into {args.out}")
 
 
@@ -99,11 +99,8 @@ def cmd_train(args):
     if args.init is not None:
         init = load_policy(args.init)
     else:
-        from .policy import SoftmaxPolicy
-
-        d = len(S[0].context) if S else len(S_u[0].context)
-        k = max([s.action for s in S] + [s.action for s in S_u]) + 1
-        init = SoftmaxPolicy.create(d, k, rng=make_rng(derive_seed(args.seed, "init")))
+        init = SoftmaxPolicy.create(S.dim, S.action_count,
+                                    rng=make_rng(derive_seed(args.seed, "init")))
     cfg = TrainConfig(
         alpha=args.alpha,
         trunc=TruncationParams(zeta=args.zeta, tau=args.tau),

@@ -2,40 +2,78 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .policy import SoftmaxPolicy
 
 
-@dataclass(frozen=True)
-class LoggedKnownSample:
-    """One row of the known-reward log: (context, action, propensity, reward)."""
+@dataclass(frozen=True, eq=False)
+class BanditLog:
+    """Logged bandit rows (x_i, a_i, p_i, r_i) as columns.
 
-    context: np.ndarray
-    action: int
-    propensity: float
-    reward: float
+    A reward-free row has reward NaN; a pseudo-reward is written into the same
+    column.  ``action_count`` is the size of the action space the log was
+    drawn over, whether or not every action occurs in it.
+    """
 
+    contexts: np.ndarray      # (n, d)
+    actions: np.ndarray       # (n,)
+    propensities: np.ndarray  # (n,)
+    rewards: np.ndarray       # (n,), NaN where the reward is unknown
+    action_count: int
 
-@dataclass(frozen=True)
-class LoggedUnknownSample:
-    """One row of the unknown-reward log: (context, action, propensity)."""
+    def __post_init__(self):
+        object.__setattr__(self, "contexts", np.asarray(self.contexts, dtype=float))
+        object.__setattr__(self, "actions", np.asarray(self.actions, dtype=int))
+        object.__setattr__(self, "propensities", np.asarray(self.propensities, dtype=float))
+        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
+        n = len(self.actions)
+        if self.contexts.ndim != 2 or len(self.contexts) != n or any(
+            column.shape != (n,) for column in (self.actions, self.propensities, self.rewards)
+        ):
+            raise ValueError("contexts must be (n, d) with one action, propensity "
+                             "and reward per row")
+        if n and not 0 <= self.actions.min() <= self.actions.max() < self.action_count:
+            raise ValueError(f"actions must lie in [0, {self.action_count})")
 
-    context: np.ndarray
-    action: int
-    propensity: float
+    def __len__(self) -> int:
+        return len(self.actions)
 
+    @property
+    def dim(self) -> int:
+        return self.contexts.shape[1]
 
-@dataclass(frozen=True)
-class AugmentedSample:
-    """Unknown-reward row augmented with a predicted pseudo-reward."""
+    @property
+    def propensitys(self) -> np.ndarray:
+        """Alias of ``propensities``: ``bench/workloads.py`` looks a column up
+        as its field name plus "s".  Remove it once the benchmark does not."""
+        return self.propensities
 
-    context: np.ndarray
-    action: int
-    propensity: float
-    pseudo_reward: float
+    def take(self, idx) -> "BanditLog":
+        """The rows at ``idx`` (indices or a boolean mask), in that order."""
+        return BanditLog(self.contexts[idx], self.actions[idx], self.propensities[idx],
+                         self.rewards[idx], self.action_count)
+
+    def concat(self, other: "BanditLog") -> "BanditLog":
+        """These rows followed by the rows of ``other``."""
+        if other.action_count != self.action_count:
+            raise ValueError(f"action counts differ: {self.action_count} "
+                             f"and {other.action_count}")
+        return BanditLog(
+            np.concatenate([self.contexts, other.contexts]),
+            np.concatenate([self.actions, other.actions]),
+            np.concatenate([self.propensities, other.propensities]),
+            np.concatenate([self.rewards, other.rewards]),
+            self.action_count,
+        )
+
+    def with_rewards(self, rewards) -> "BanditLog":
+        """The same rows with ``rewards`` (a column, or one value for every row)."""
+        return replace(self, rewards=np.broadcast_to(rewards, len(self)).astype(float))
 
 
 @dataclass
@@ -78,12 +116,12 @@ def supervised_to_bandit(
     ds: SupervisedDataset,
     logging_policy: SoftmaxPolicy,
     rng: np.random.Generator,
-) -> list[LoggedKnownSample]:
+) -> BanditLog:
     """Turn classification rows into logged bandit feedback.
 
     For each row an action is sampled from the logging policy, the propensity
     is that action's probability, and the reward is -1 when the action matches
-    the label and 0 otherwise.
+    the label and 0 otherwise.  The log has the logging policy's action count.
     """
     if logging_policy.input_dim != ds.dim:
         raise ValueError(
@@ -94,116 +132,121 @@ def supervised_to_bandit(
             f"logging policy has {logging_policy.action_count} actions, "
             f"data has {ds.num_classes} classes"
         )
-    out = []
+    actions = np.zeros(len(ds), dtype=int)
+    propensities = np.zeros(len(ds))
     for i in range(len(ds)):
-        x = ds.features[i].copy()
         # per-row evaluation so the stored propensity matches probs(x)[a] exactly
-        p = logging_policy.probs(x)
+        p = logging_policy.probs(ds.features[i].copy())
         u = rng.random()
         a = int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, len(p) - 1))
-        r = -1.0 if a == ds.labels[i] else 0.0
-        out.append(LoggedKnownSample(x, a, float(p[a]), r))
-    return out
+        actions[i], propensities[i] = a, p[a]
+    rewards = np.where(actions == ds.labels, -1.0, 0.0)
+    return BanditLog(ds.features.copy(), actions, propensities, rewards,
+                     logging_policy.action_count)
 
 
 def mask_rewards(
-    S: list[LoggedKnownSample],
+    S: BanditLog,
     keep_fraction: float,
     rng: np.random.Generator,
     stratify_by_action: bool = False,
-) -> tuple[list[LoggedKnownSample], list[LoggedUnknownSample]]:
-    """Partition the log into known-reward and unknown-reward parts.
+) -> tuple[BanditLog, BanditLog]:
+    """Partition the log into rewarded rows S and reward-free rows S_u.
 
     A uniformly random subset of round(keep_fraction * |S|) rows keeps its
-    reward; the rest drop it.  With ``stratify_by_action`` the split is done
-    per action group instead (same keep rate within each action).
+    reward; the rest drop it (reward NaN).  With ``stratify_by_action`` the
+    split is done per action group instead (same keep rate within each
+    action).  Both parts keep the row order and the action count of ``S``.
     """
     if not 0.0 <= keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
     n = len(S)
     keep_mask = np.zeros(n, dtype=bool)
     if stratify_by_action:
-        actions = np.array([s.action for s in S])
-        for a in np.unique(actions):
-            idx = np.flatnonzero(actions == a)
+        for a in np.unique(S.actions):
+            idx = np.flatnonzero(S.actions == a)
             n_keep = int(round(keep_fraction * len(idx)))
             chosen = rng.permutation(len(idx))[:n_keep]
             keep_mask[idx[chosen]] = True
     else:
         n_keep = int(round(keep_fraction * n))
         keep_mask[rng.permutation(n)[:n_keep]] = True
-    known = [s for s, keep in zip(S, keep_mask) if keep]
-    unknown = [
-        LoggedUnknownSample(s.context, s.action, s.propensity)
-        for s, keep in zip(S, keep_mask)
-        if not keep
-    ]
-    return known, unknown
+    return S.take(keep_mask), S.take(~keep_mask).with_rewards(np.nan)
 
 
 def drop_action(
-    S_known: list[LoggedKnownSample],
-    S_unknown: list[LoggedUnknownSample],
+    S_known: BanditLog,
+    S_unknown: BanditLog,
     action: int,
-) -> tuple[list[LoggedKnownSample], list[LoggedUnknownSample]]:
-    """Remove every known-reward sample with the given action; unknown set untouched."""
-    return [s for s in S_known if s.action != action], S_unknown
+) -> tuple[BanditLog, BanditLog]:
+    """Remove every rewarded row with the given action; reward-free rows untouched.
+
+    The action count is kept, so the dropped action stays in the action space.
+    """
+    return S_known.take(S_known.actions != action), S_unknown
 
 
 # ---- CSV format ------------------------------------------------------------
 #
 # Header: x0,...,x{d-1},action,propensity,reward
-# Unknown-reward rows leave the reward field empty.  Values are printed with
-# 17 significant digits so a write/read round trip is lossless.
+# Reward-free rows leave the reward field empty.  Values are printed with
+# 17 significant digits so a write/read round trip is lossless.  Features and
+# rewards must be finite: NaN is how a reward-free row is held in memory.
 
 
-def write_bandit_csv(
-    path,
-    known: list[LoggedKnownSample],
-    unknown: list[LoggedUnknownSample] = (),
-) -> None:
-    if known:
-        d = len(known[0].context)
-    elif unknown:
-        d = len(unknown[0].context)
-    else:
-        raise ValueError("cannot write an empty dataset (unknown dimension)")
-    header = ",".join([f"x{i}" for i in range(d)] + ["action", "propensity", "reward"])
+def write_bandit_csv(path, log: BanditLog) -> None:
+    header = ",".join([f"x{i}" for i in range(log.dim)] + ["action", "propensity", "reward"])
     lines = [header]
-    for s in known:
-        feats = ",".join(f"{v:.17g}" for v in s.context)
-        lines.append(f"{feats},{s.action},{s.propensity:.17g},{s.reward:.17g}")
-    for s in unknown:
-        feats = ",".join(f"{v:.17g}" for v in s.context)
-        lines.append(f"{feats},{s.action},{s.propensity:.17g},")
+    for x, a, p, r in zip(log.contexts.tolist(), log.actions.tolist(),
+                          log.propensities.tolist(), log.rewards.tolist()):
+        feats = ",".join(f"{v:.17g}" for v in x)
+        reward = "" if math.isnan(r) else f"{r:.17g}"
+        lines.append(f"{feats},{a},{p:.17g},{reward}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_bandit_csv(
-    path, validate_reward_range: bool = True
-) -> tuple[list[LoggedKnownSample], list[LoggedUnknownSample]]:
-    """Parse a logged dataset; rows with an empty reward field become unknown samples.
-
-    Set ``validate_reward_range=False`` to accept rewards outside [-1, 0]
-    (general [c, b] data for the bounds module).
-    """
+def _read_lines(path) -> list[str]:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
     if not lines:
         raise DatasetFormatError(1, "empty file")
+    return lines
+
+
+def _finite_features(feats: array, n: int, d: int) -> np.ndarray:
+    """The (n, d) array of the features parsed into ``feats``, row after row.
+
+    A non-finite feature is reported on its row's line; row i is line i + 2.
+    """
+    features = np.array(feats, dtype=float).reshape(n, d)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):
+        raise DatasetFormatError(int(bad[0]) + 2, "features must be finite")
+    return features
+
+
+def read_bandit_csv(path, validate_reward_range: bool = True) -> tuple[BanditLog, BanditLog]:
+    """Parse a logged dataset into its rewarded rows S and reward-free rows S_u.
+
+    A row with an empty reward field is reward-free.  The format does not
+    record the action count, so both parts take 1 + the largest action in the
+    file.  Set ``validate_reward_range=False`` to accept finite rewards outside
+    [-1, 0] (general [c, b] data for the bounds module).
+    """
+    lines = _read_lines(path)
     header = lines[0].split(",")
     if header[-3:] != ["action", "propensity", "reward"]:
         raise DatasetFormatError(1, "header must end with action,propensity,reward")
     d = len(header) - 3
-    known: list[LoggedKnownSample] = []
-    unknown: list[LoggedUnknownSample] = []
+    # flat float arrays rather than one list per row: 8 bytes a value
+    feats, actions, propensities, rewards = array("d"), [], array("d"), array("d")
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != d + 3:
             raise DatasetFormatError(lineno, f"expected {d + 3} fields, got {len(fields)}")
         try:
-            context = np.array([float(v) for v in fields[:d]])
+            feats.extend([float(v) for v in fields[:d]])
             action = int(fields[d])
             propensity = float(fields[d + 1])
         except ValueError as exc:
@@ -212,18 +255,23 @@ def read_bandit_csv(
             raise DatasetFormatError(lineno, f"negative action index {action}")
         if not 0.0 < propensity <= 1.0:
             raise DatasetFormatError(lineno, f"propensity must be in (0, 1], got {propensity}")
-        reward_field = fields[d + 2]
-        if reward_field == "":
-            unknown.append(LoggedUnknownSample(context, action, propensity))
-        else:
+        reward = math.nan
+        if fields[d + 2] != "":
             try:
-                reward = float(reward_field)
+                reward = float(fields[d + 2])
             except ValueError as exc:
                 raise DatasetFormatError(lineno, str(exc)) from exc
+            if not math.isfinite(reward):
+                raise DatasetFormatError(lineno, f"reward must be finite, got {reward}")
             if validate_reward_range and not -1.0 <= reward <= 0.0:
                 raise DatasetFormatError(lineno, f"reward must be in [-1, 0], got {reward}")
-            known.append(LoggedKnownSample(context, action, propensity, reward))
-    return known, unknown
+        actions.append(action)
+        propensities.append(propensity)
+        rewards.append(reward)
+    log = BanditLog(_finite_features(feats, len(actions), d), actions, propensities,
+                    rewards, max(actions, default=-1) + 1)
+    rewarded = ~np.isnan(log.rewards)
+    return log.take(rewarded), log.take(~rewarded)
 
 
 def write_supervised_csv(path, ds: SupervisedDataset) -> None:
@@ -236,22 +284,19 @@ def write_supervised_csv(path, ds: SupervisedDataset) -> None:
 
 
 def read_supervised_csv(path) -> SupervisedDataset:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines:
-        raise DatasetFormatError(1, "empty file")
+    lines = _read_lines(path)
     header = lines[0].split(",")
     if header[-1] != "label":
         raise DatasetFormatError(1, "header must end with label")
     d = len(header) - 1
-    feats, labels = [], []
+    feats, labels = array("d"), []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != d + 1:
             raise DatasetFormatError(lineno, f"expected {d + 1} fields, got {len(fields)}")
         try:
-            feats.append([float(v) for v in fields[:d]])
+            feats.extend([float(v) for v in fields[:d]])
             labels.append(int(fields[d]))
         except ValueError as exc:
             raise DatasetFormatError(lineno, str(exc)) from exc
-    return SupervisedDataset(np.array(feats), np.array(labels))
+    return SupervisedDataset(_finite_features(feats, len(labels), d), np.array(labels))

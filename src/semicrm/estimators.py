@@ -7,7 +7,7 @@ it covers to per-row values and per-row factors d value / d log pi.  The
 estimators below sum the values after one forward pass; the trainers turn the
 factors into a gradient (see :mod:`semicrm.trainers`).
 
-All estimators are pure functions of (policy, samples) and reduce in fixed
+All estimators are pure functions of (policy, log) and reduce in fixed
 left-to-right order, so repeated evaluation is bit-identical.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AugmentedSample, LoggedKnownSample, LoggedUnknownSample
+from .data import BanditLog
 from .policy import SoftmaxPolicy, log_softmax
 
 
@@ -33,76 +33,6 @@ class TruncationParams:
             raise ValueError(f"zeta must be in [0, 1], got {self.zeta}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-
-
-@dataclass(frozen=True)
-class KnownBatch:
-    """Array view of a list of known-reward samples."""
-
-    contexts: np.ndarray     # (n, d)
-    actions: np.ndarray      # (n,)
-    propensities: np.ndarray  # (n,)
-    rewards: np.ndarray      # (n,)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
-@dataclass(frozen=True)
-class UnknownBatch:
-    """Array view of a list of unknown-reward samples, optionally with pseudo-rewards."""
-
-    contexts: np.ndarray
-    actions: np.ndarray
-    propensities: np.ndarray
-    pseudo_rewards: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
-def stack_known(S: list[LoggedKnownSample]) -> KnownBatch:
-    if not S:
-        raise ValueError("empty known-reward sample list")
-    return KnownBatch(
-        np.stack([s.context for s in S]),
-        np.array([s.action for s in S], dtype=int),
-        np.array([s.propensity for s in S]),
-        np.array([s.reward for s in S]),
-    )
-
-
-def stack_unknown(S_u: list[LoggedUnknownSample | AugmentedSample]) -> UnknownBatch:
-    if not S_u:
-        raise ValueError("empty unknown-reward sample list")
-    pseudo = None
-    if isinstance(S_u[0], AugmentedSample):
-        pseudo = np.array([s.pseudo_reward for s in S_u])
-    return UnknownBatch(
-        np.stack([s.context for s in S_u]),
-        np.array([s.action for s in S_u], dtype=int),
-        np.array([s.propensity for s in S_u]),
-        pseudo,
-    )
-
-
-def concat_rows(known: KnownBatch | None, unknown: UnknownBatch | None) -> KnownBatch:
-    """Known rows followed by unknown rows, as one batch.
-
-    Unknown rows carry their pseudo-rewards, or NaN when they have none, so a
-    term that read a reward on them would show it in its value.
-    """
-    batches = [b for b in (known, unknown) if b is not None]
-    rewards = [] if known is None else [known.rewards]
-    if unknown is not None:
-        pseudo = unknown.pseudo_rewards
-        rewards.append(np.full(len(unknown), np.nan) if pseudo is None else pseudo)
-    return KnownBatch(
-        np.concatenate([b.contexts for b in batches]),
-        np.concatenate([b.actions for b in batches]),
-        np.concatenate([b.propensities for b in batches]),
-        np.concatenate(rewards),
-    )
 
 
 def _group_weights(actions: np.ndarray) -> np.ndarray:
@@ -122,6 +52,8 @@ def _ips_rows(log_pi, actions, propensities, rewards, zeta):
     factors equal the values."""
     if np.any(propensities <= 0.0):
         raise ValueError("all propensities must be positive")
+    if np.any(np.isnan(rewards)):
+        raise ValueError("IPS needs a reward on every row it covers")
     values = rewards * np.exp(log_pi) / (len(log_pi) * np.maximum(propensities, zeta))
     return values, values
 
@@ -158,66 +90,57 @@ ROW_TERMS = {"IPS": _ips_rows, "WCE": _wce_rows, "KL": _kl_rows, "RKL": _rkl_row
 REGULARIZERS = ("KL", "RKL", "WCE")
 
 
-def _log_pi(policy: SoftmaxPolicy, rows) -> np.ndarray:
+def _log_pi(policy: SoftmaxPolicy, rows: BanditLog) -> np.ndarray:
     """log pi(a_i|x_i) for every row, from one forward pass."""
     scores, _ = policy.forward(rows.contexts)
     return log_softmax(scores, rows.actions)
 
 
-def _estimate(term: str, policy: SoftmaxPolicy, rows, floor: float, rewards=None) -> float:
+def _estimate(term: str, policy: SoftmaxPolicy, rows: BanditLog, floor: float) -> float:
     """Sum of one row term's values over ``rows``; no gradient is formed."""
+    if not len(rows):
+        raise ValueError("empty log")
     values, _ = ROW_TERMS[term](
-        _log_pi(policy, rows), rows.actions, rows.propensities, rewards, floor
+        _log_pi(policy, rows), rows.actions, rows.propensities, rows.rewards, floor
     )
     return float(np.sum(values))
-
-
-def _unknown_batch(S_u) -> UnknownBatch:
-    return S_u if isinstance(S_u, UnknownBatch) else stack_unknown(S_u)
 
 
 # ---- risk estimators -------------------------------------------------------
 
 
-def ips_risk(policy: SoftmaxPolicy, S: list[LoggedKnownSample]) -> float:
+def ips_risk(policy: SoftmaxPolicy, S: BanditLog) -> float:
     """Importance-weighted empirical risk (1/n) sum r_i pi(a_i|x_i)/p_i."""
     return truncated_ips_risk(policy, S, zeta=0.0)
 
 
-def truncated_ips_risk(
-    policy: SoftmaxPolicy, S: list[LoggedKnownSample], zeta: float
-) -> float:
+def truncated_ips_risk(policy: SoftmaxPolicy, S: BanditLog, zeta: float) -> float:
     """IPS risk with the propensity denominator floored at zeta."""
-    batch = S if isinstance(S, KnownBatch) else stack_known(S)
-    return _estimate("IPS", policy, batch, zeta, batch.rewards)
+    return _estimate("IPS", policy, S, zeta)
 
 
 # ---- reward-free regularizers ----------------------------------------------
 
 
-def kl_regularizer(
-    policy: SoftmaxPolicy, S_u: list[LoggedUnknownSample], tau: float = 0.0
-) -> float:
+def kl_regularizer(policy: SoftmaxPolicy, S_u: BanditLog, tau: float = 0.0) -> float:
     """Truncated forward-KL estimate: per action group, mean of pi log(pi / max(tau, p))."""
-    return _estimate("KL", policy, _unknown_batch(S_u), tau)
+    return _estimate("KL", policy, S_u, tau)
 
 
-def rkl_regularizer(policy: SoftmaxPolicy, S_u: list[LoggedUnknownSample]) -> float:
+def rkl_regularizer(policy: SoftmaxPolicy, S_u: BanditLog) -> float:
     """Reverse-KL estimate: per action group, mean of -p log pi + p log p."""
-    return _estimate("RKL", policy, _unknown_batch(S_u), 0.0)
+    return _estimate("RKL", policy, S_u, 0.0)
 
 
-def wce_regularizer(
-    policy: SoftmaxPolicy, S_u: list[LoggedUnknownSample], tau: float = 0.0
-) -> float:
+def wce_regularizer(policy: SoftmaxPolicy, S_u: BanditLog, tau: float = 0.0) -> float:
     """Truncated weighted cross-entropy: per action group, mean of -max(tau, p) log pi."""
-    return _estimate("WCE", policy, _unknown_batch(S_u), tau)
+    return _estimate("WCE", policy, S_u, tau)
 
 
 def combined_objective(
     policy: SoftmaxPolicy,
-    S: list[LoggedKnownSample],
-    S_u: list[LoggedUnknownSample],
+    S: BanditLog,
+    S_u: BanditLog,
     alpha: float,
     trunc: TruncationParams = TruncationParams(),
     variant: str = "WCE",
@@ -228,24 +151,25 @@ def combined_objective(
     if variant not in REGULARIZERS:
         raise ValueError(f"variant must be one of {REGULARIZERS}, got {variant!r}")
     risk = truncated_ips_risk(policy, S, trunc.zeta) if alpha > 0.0 else 0.0
-    reg = _estimate(variant, policy, _unknown_batch(S_u), trunc.tau) if alpha < 1.0 else 0.0
+    reg = _estimate(variant, policy, S_u, trunc.tau) if alpha < 1.0 else 0.0
     return alpha * risk + (1.0 - alpha) * reg
 
 
 def pseudo_reward_objective(
     policy: SoftmaxPolicy,
-    S: list[LoggedKnownSample],
-    S_u_aug: list[AugmentedSample],
+    S: BanditLog,
+    S_u_aug: BanditLog,
     alpha: float,
     trunc: TruncationParams = TruncationParams(),
 ) -> float:
     """Pseudo-reward risk: truncated IPS over S plus pseudo-reward IPS over the
-    augmented set, scaled by alpha/(n+m), plus (1 - alpha) times the WCE
-    regularizer over the union (action groups computed on the union).
+    augmented set (pseudo-rewards in its reward column), scaled by
+    alpha/(n+m), plus (1 - alpha) times the WCE regularizer over the union
+    (action groups computed on the union).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    rows = concat_rows(stack_known(S), stack_unknown(S_u_aug) if S_u_aug else None)
+    rows = S.concat(S_u_aug)
     args = (_log_pi(policy, rows), rows.actions, rows.propensities, rows.rewards)
     ips, _ = _ips_rows(*args, trunc.zeta)
     wce, _ = _wce_rows(*args, trunc.tau)

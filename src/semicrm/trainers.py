@@ -13,22 +13,21 @@ and WCE terms on all rows, the unknown ones carrying pseudo-rewards.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentedSample, LoggedKnownSample, LoggedUnknownSample
-from .estimators import (
-    ROW_TERMS,
-    KnownBatch,
-    TruncationParams,
-    UnknownBatch,
-    concat_rows,
-    stack_known,
-    stack_unknown,
+from .data import BanditLog
+from .estimators import ROW_TERMS, TruncationParams
+from .policy import (
+    DimensionMismatchError,
+    PolicyGradient,
+    SoftmaxPolicy,
+    log_softmax,
+    softmax,
 )
-from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax
 from .rng import make_rng
 
 
@@ -49,6 +48,14 @@ class TrainConfig:
             raise ValueError("epochs and batch sizes must be positive")
         if self.learning_rate <= 0 or not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+
+
+class TrainingDiverged(ValueError):
+    """The objective, its gradient or the parameters stopped being finite."""
+
+    def __init__(self, step: int, what: str):
+        self.step = step
+        super().__init__(f"training diverged at step {step}: {what}")
 
 
 @dataclass
@@ -88,7 +95,7 @@ _ALL_ROWS = slice(None)
 
 
 def _value_and_grad(
-    policy: SoftmaxPolicy, rows: KnownBatch, parts
+    policy: SoftmaxPolicy, rows: BanditLog, parts
 ) -> tuple[list[float], PolicyGradient]:
     """Values and gradient of sum_j scale_j * term_j over one batch of rows.
 
@@ -112,7 +119,7 @@ def _value_and_grad(
 
 
 def grad_truncated_ips(
-    policy: SoftmaxPolicy, batch: KnownBatch, zeta: float
+    policy: SoftmaxPolicy, batch: BanditLog, zeta: float
 ) -> tuple[float, PolicyGradient]:
     """Value and gradient of (1/n) sum r_i pi(a_i|x_i) / max(zeta, p_i)."""
     (value,), grad = _value_and_grad(policy, batch, [("IPS", _ALL_ROWS, 1.0, zeta)])
@@ -120,27 +127,25 @@ def grad_truncated_ips(
 
 
 def grad_wce(
-    policy: SoftmaxPolicy, batch: UnknownBatch, tau: float
+    policy: SoftmaxPolicy, batch: BanditLog, tau: float
 ) -> tuple[float, PolicyGradient]:
     """Value and gradient of the truncated weighted cross-entropy regularizer."""
-    rows = concat_rows(None, batch)
-    (value,), grad = _value_and_grad(policy, rows, [("WCE", _ALL_ROWS, 1.0, tau)])
+    (value,), grad = _value_and_grad(policy, batch, [("WCE", _ALL_ROWS, 1.0, tau)])
     return value, grad
 
 
 def grad_kl(
-    policy: SoftmaxPolicy, batch: UnknownBatch, tau: float
+    policy: SoftmaxPolicy, batch: BanditLog, tau: float
 ) -> tuple[float, PolicyGradient]:
     """Value and gradient of the truncated forward-KL regularizer."""
-    rows = concat_rows(None, batch)
-    (value,), grad = _value_and_grad(policy, rows, [("KL", _ALL_ROWS, 1.0, tau)])
+    (value,), grad = _value_and_grad(policy, batch, [("KL", _ALL_ROWS, 1.0, tau)])
     return value, grad
 
 
 def grad_pseudo_reward(
     policy: SoftmaxPolicy,
-    known: KnownBatch,
-    aug: UnknownBatch | None,
+    known: BanditLog,
+    aug: BanditLog,
     alpha: float,
     trunc: TruncationParams,
 ) -> tuple[float, float, PolicyGradient]:
@@ -150,7 +155,7 @@ def grad_pseudo_reward(
     actions over it.
     """
     parts = [("IPS", _ALL_ROWS, alpha, trunc.zeta), ("WCE", _ALL_ROWS, 1.0 - alpha, trunc.tau)]
-    (ips_term, wce_term), grad = _value_and_grad(policy, concat_rows(known, aug), parts)
+    (ips_term, wce_term), grad = _value_and_grad(policy, known.concat(aug), parts)
     return ips_term, wce_term, grad
 
 
@@ -167,8 +172,8 @@ def _sample_indices(rng: np.random.Generator, size: int, batch: int) -> np.ndarr
 
 
 def _descend(
-    S: list[LoggedKnownSample],
-    S_u: list[LoggedUnknownSample | AugmentedSample],
+    S: BanditLog,
+    S_u: BanditLog,
     cfg: TrainConfig,
     init: SoftmaxPolicy,
     regularizer: str,
@@ -179,13 +184,17 @@ def _descend(
     Each step draws known rows, then unknown rows, and takes one gradient
     step on the two together.  Pooled, both terms cover every row of the
     minibatch; otherwise IPS covers the known rows and the regularizer the
-    unknown rows.
+    unknown rows.  Raises :class:`TrainingDiverged` at the first step whose
+    term values or gradient norm are not finite.
     """
-    if cfg.alpha > 0.0 and not S:
+    if cfg.alpha > 0.0 and not len(S):
         raise ValueError("alpha > 0 requires a nonempty known-reward dataset")
-    if cfg.alpha < 1.0 and not (S_u or (pooled and S)):
+    if cfg.alpha < 1.0 and not (len(S_u) or (pooled and len(S))):
         raise ValueError("alpha < 1 requires a nonempty unknown-reward dataset")
-    rows = concat_rows(stack_known(S) if S else None, stack_unknown(S_u) if S_u else None)
+    if init.action_count < S.action_count:
+        raise DimensionMismatchError("initial policy action count",
+                                     S.action_count, init.action_count)
+    rows = S.concat(S_u)
     n_known, n_unknown = len(S), len(S_u)
     batch_known = min(cfg.batch_known, n_known)
     batch_unknown = min(cfg.batch_unknown, n_unknown)
@@ -201,18 +210,21 @@ def _descend(
         idx_known = _sample_indices(rng, n_known, batch_known)
         idx_unknown = _sample_indices(rng, n_unknown, batch_unknown)
         idx = np.concatenate([idx_known, n_known + idx_unknown])
-        batch = KnownBatch(rows.contexts[idx], rows.actions[idx],
-                           rows.propensities[idx], rows.rewards[idx])
-        (ips_value, reg_value), grad = _value_and_grad(policy, batch, parts)
+        (ips_value, reg_value), grad = _value_and_grad(policy, rows.take(idx), parts)
+        grad_norm = grad.norm()
+        if not all(map(math.isfinite, (ips_value, reg_value, grad_norm))):
+            raise TrainingDiverged(step, f"ips_term={ips_value}, reg_term={reg_value}, "
+                                         f"grad_norm={grad_norm}")
         policy.apply_update(grad, cfg.learning_rate)
-        trace.append(step, ips_value, reg_value, grad.norm(),
-                     time.perf_counter() - start)
+        trace.append(step, ips_value, reg_value, grad_norm, time.perf_counter() - start)
+    if not all(np.all(np.isfinite(a)) for a in policy.weights + policy.biases):
+        raise TrainingDiverged(cfg.epochs - 1, "the update left non-finite parameters")
     return policy, trace
 
 
 def train_wce_crm(
-    S: list[LoggedKnownSample],
-    S_u: list[LoggedUnknownSample],
+    S: BanditLog,
+    S_u: BanditLog,
     cfg: TrainConfig,
     init: SoftmaxPolicy,
 ) -> tuple[SoftmaxPolicy, TrainTrace]:
@@ -221,8 +233,8 @@ def train_wce_crm(
 
 
 def train_kl_crm(
-    S: list[LoggedKnownSample],
-    S_u: list[LoggedUnknownSample],
+    S: BanditLog,
+    S_u: BanditLog,
     cfg: TrainConfig,
     init: SoftmaxPolicy,
 ) -> tuple[SoftmaxPolicy, TrainTrace]:
@@ -256,53 +268,43 @@ class RewardRegressor:
         return self.features(contexts, actions) @ self.weights
 
 
-def fit_reward_regressor(
-    S: list[LoggedKnownSample], action_count: int, ridge: float = 1e-8
-) -> RewardRegressor:
+def fit_reward_regressor(S: BanditLog, ridge: float = 1e-8) -> RewardRegressor:
     """Propensity-weighted least squares in closed form (normal equations).
 
     Minimizes (1/P) sum p_i (r_i - phi_i . beta)^2 + ridge * |beta|^2 with
-    P = sum p_i; the tiny ridge keeps rank-deficient designs solvable, including
-    the one-hot column of an action that no row of S took.
+    P = sum p_i over the rewarded rows S.  The one-hot block has a column for
+    each of ``S.action_count`` actions; the tiny ridge keeps rank-deficient
+    designs solvable, including the column of an action that no row of S took.
     """
-    batch = stack_known(S)
-    total_p = float(np.sum(batch.propensities))
+    total_p = float(np.sum(S.propensities))
     if total_p <= 0.0:
         raise ValueError("propensity weights sum to zero")
-    d = batch.contexts.shape[1]
-    reg = RewardRegressor(np.zeros(d + action_count + 1), d, action_count)
-    phi = reg.features(batch.contexts, batch.actions)
-    w = batch.propensities / total_p
+    reg = RewardRegressor(np.zeros(S.dim + S.action_count + 1), S.dim, S.action_count)
+    phi = reg.features(S.contexts, S.actions)
+    w = S.propensities / total_p
     gram = phi.T @ (w[:, None] * phi) + ridge * np.eye(phi.shape[1])
-    rhs = phi.T @ (w * batch.rewards)
+    rhs = phi.T @ (w * S.rewards)
     reg.weights = np.linalg.solve(gram, rhs)
     return reg
 
 
-def predict_pseudo_rewards(
-    reg: RewardRegressor, S_u: list[LoggedUnknownSample]
-) -> list[AugmentedSample]:
-    """Pseudo-rewards clamped into the valid reward range [-1, 0]."""
-    batch = stack_unknown(S_u)
-    preds = np.clip(reg.predict_batch(batch.contexts, batch.actions), -1.0, 0.0)
-    return [
-        AugmentedSample(s.context, s.action, s.propensity, float(r))
-        for s, r in zip(S_u, preds)
-    ]
+def predict_pseudo_rewards(reg: RewardRegressor, S_u: BanditLog) -> BanditLog:
+    """S_u with its rewards set to predictions clamped into the range [-1, 0]."""
+    return S_u.with_rewards(np.clip(reg.predict_batch(S_u.contexts, S_u.actions), -1.0, 0.0))
 
 
 def train_pr_crm(
-    S: list[LoggedKnownSample],
-    S_u: list[LoggedUnknownSample],
+    S: BanditLog,
+    S_u: BanditLog,
     cfg: TrainConfig,
     init: SoftmaxPolicy,
 ) -> tuple[SoftmaxPolicy, TrainTrace]:
-    """Fit the reward regressor on S, augment S_u with pseudo-rewards, then run
+    """Fit the reward regressor on S, give S_u pseudo-rewards, then run
     minibatch descent on the pseudo-reward objective.
     """
-    aug = []
-    if S_u:
-        aug = predict_pseudo_rewards(fit_reward_regressor(S, init.action_count), S_u)
+    aug = S_u
+    if len(S_u):
+        aug = predict_pseudo_rewards(fit_reward_regressor(S), S_u)
     return _descend(S, aug, cfg, init, "WCE", pooled=True)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from semicrm.bounds import DiscreteEnvironment
-from semicrm.data import LoggedKnownSample, LoggedUnknownSample
+from semicrm.data import BanditLog
 from semicrm.policy import SoftmaxPolicy
 from semicrm.rng import make_rng
 
@@ -31,16 +31,27 @@ def logging_table_policy(env: DiscreteEnvironment) -> SoftmaxPolicy:
     )
 
 
-def sample_unknown(env: DiscreteEnvironment, m: int, rng) -> list[LoggedUnknownSample]:
-    return [
-        LoggedUnknownSample(s.context, s.action, s.propensity)
-        for s in env.sample_logged(m, rng)
-    ]
+def sample_unknown(env: DiscreteEnvironment, m: int, rng) -> BanditLog:
+    return env.sample_logged(m, rng).with_rewards(np.nan)
 
 
-def make_known(context, action, propensity, reward) -> LoggedKnownSample:
-    return LoggedKnownSample(np.asarray(context, dtype=float), action, propensity, reward)
+def make_log(rows, action_count: int) -> BanditLog:
+    """A log from (context, action, propensity[, reward]) tuples; a row
+    without a reward is reward-free."""
+    rows = list(rows)
+    return BanditLog(
+        np.array([r[0] for r in rows], dtype=float),
+        [r[1] for r in rows],
+        [r[2] for r in rows],
+        [r[3] if len(r) > 3 else np.nan for r in rows],
+        action_count,
+    )
 
 
-def make_unknown(context, action, propensity) -> LoggedUnknownSample:
-    return LoggedUnknownSample(np.asarray(context, dtype=float), action, propensity)
+def assert_same_rows(a: BanditLog, b: BanditLog) -> None:
+    """Bit-identical columns (NaN rewards match NaN) and action counts."""
+    assert a.action_count == b.action_count
+    for name in ("contexts", "actions", "propensities", "rewards"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert np.array_equal(x.view(np.uint8), y.view(np.uint8)), name

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_known, make_unknown, table_policy
+from conftest import make_log, table_policy
 
 from semicrm.bounds import (
     BoundInputs,
@@ -27,14 +27,12 @@ from semicrm.bounds import (
     var_upper_kl,
 )
 from semicrm.cli import main as cli_main
+from semicrm.data import BanditLog
 from semicrm.estimators import (
     TruncationParams,
-    UnknownBatch,
     ips_risk,
     kl_regularizer,
     rkl_regularizer,
-    stack_known,
-    stack_unknown,
 )
 from semicrm.harness import ExperimentConfig, SyntheticSpec, run_experiment
 from semicrm.policy import SoftmaxPolicy
@@ -93,10 +91,10 @@ def test_criterion_01_ips_unbiasedness():
         expectation = 0.0
         eye = np.eye(n_ctx)
         for x, a in itertools.product(range(n_ctx), range(n_act)):
-            sample = make_known(eye[x], a, env.logging_table[x, a],
-                                env.reward_table[x, a])
+            sample = make_log([(eye[x], a, env.logging_table[x, a],
+                                env.reward_table[x, a])], n_act)
             weight = env.context_probs[x] * env.logging_table[x, a]
-            expectation += weight * ips_risk(policy, [sample])
+            expectation += weight * ips_risk(policy, sample)
         worst = max(worst, abs(expectation - exact_true_risk(env)))
     check(1, "ips-unbiasedness", worst < 1e-12, f"worst |E - R| = {worst:.2e}")
 
@@ -116,7 +114,8 @@ def test_criterion_02_divergence_consistency():
         for m in sizes:
             xs = rng.choice(env.num_contexts, size=m, p=env.context_probs)
             acts = (rng.random(m)[:, None] > cdf[xs]).sum(axis=1)
-            batch = UnknownBatch(eye[xs], acts, env.logging_table[xs, acts])
+            batch = BanditLog(eye[xs], acts, env.logging_table[xs, acts],
+                              np.full(m, np.nan), env.action_count)
             kl_est = kl_regularizer(policy, batch, 0.0)
             rkl_est = rkl_regularizer(policy, batch)
             pi = policy.probs_batch(batch.contexts)[np.arange(m), acts]
@@ -233,17 +232,13 @@ def test_criterion_07_gradient_correctness():
     for seed in range(3):
         rng = make_rng(700 + seed)
         d, k = 3, 3
-        S = [make_known(rng.standard_normal(d), int(rng.choice(k)),
-                        float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1, 0)))
-             for _ in range(15)]
-        S_u = [make_unknown(rng.standard_normal(d), int(rng.choice(k)),
-                            float(rng.uniform(0.05, 1.0))) for _ in range(20)]
-        known, unknown = stack_known(S), stack_unknown(S_u)
-        from semicrm.data import AugmentedSample
-        aug = stack_unknown([
-            AugmentedSample(s.context, s.action, s.propensity,
-                            float(rng.uniform(-1, 0))) for s in S_u
-        ])
+        S = make_log([(rng.standard_normal(d), int(rng.choice(k)),
+                       float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1, 0)))
+                      for _ in range(15)], k)
+        S_u = make_log([(rng.standard_normal(d), int(rng.choice(k)),
+                         float(rng.uniform(0.05, 1.0))) for _ in range(20)], k)
+        known, unknown = S, S_u
+        aug = S_u.with_rewards([float(rng.uniform(-1, 0)) for _ in range(len(S_u))])
         policy = SoftmaxPolicy.create(d, k, (6,), rng)
         trunc = TruncationParams(zeta=0.05, tau=0.05)
 

@@ -4,7 +4,7 @@ import pytest
 from semicrm.bounds import bound_report, random_environment, write_environment
 from semicrm.cli import main
 from semicrm.data import read_bandit_csv, read_supervised_csv
-from semicrm.policy import load_policy
+from semicrm.policy import DimensionMismatchError, SoftmaxPolicy, load_policy, save_policy
 from semicrm.rng import make_rng
 
 
@@ -29,7 +29,7 @@ class TestPipeline:
         run("to-bandit", "--data", sup, "--policy", pol, "--out", bandit,
             "--seed", 1)
         known, unknown = read_bandit_csv(bandit)
-        assert len(known) == 400 and unknown == []
+        assert len(known) == 400 and len(unknown) == 0
 
         masked = tmp_path / "masked.csv"
         run("mask", "--data", bandit, "--out", masked, "--keep-fraction", 0.25,
@@ -65,6 +65,17 @@ class TestPipeline:
         run("train", "--data", masked, "--out", out, "--algorithm", algorithm,
             "--alpha", "0.7", "--epochs", 5)
         assert load_policy(out).action_count == 2
+
+    def test_init_policy_with_too_few_actions_rejected(self, tmp_path):
+        # a 2-action checkpoint cannot train on a log that holds action 2
+        log = tmp_path / "log.csv"
+        log.write_text("x0,action,propensity,reward\n"
+                       "0.5,0,0.5,-1\n1.5,2,0.25,\n-0.5,1,0.5,0\n")
+        init = tmp_path / "init.policy"
+        save_policy(SoftmaxPolicy.create(1, 2, (3,), make_rng(0)), init)
+        with pytest.raises(DimensionMismatchError):
+            run("train", "--data", log, "--out", tmp_path / "out.policy",
+                "--init", init, "--alpha", 0.5, "--epochs", 2)
 
     def test_mask_rejects_already_masked_input(self, tmp_path):
         sup, pol = tmp_path / "s.csv", tmp_path / "p.pol"

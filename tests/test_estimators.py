@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
-    make_known,
-    make_unknown,
+    make_log,
     sample_unknown,
     table_policy,
     uniform_policy,
@@ -17,7 +16,6 @@ from semicrm.bounds import (
     exact_true_risk,
     random_environment,
 )
-from semicrm.data import AugmentedSample
 from semicrm.estimators import (
     TruncationParams,
     combined_objective,
@@ -25,7 +23,6 @@ from semicrm.estimators import (
     kl_regularizer,
     pseudo_reward_objective,
     rkl_regularizer,
-    stack_unknown,
     truncated_ips_risk,
     wce_regularizer,
 )
@@ -36,16 +33,15 @@ from semicrm.trainers import grad_kl, grad_wce
 
 def random_unknowns(n=30, d=2, k=3, seed=0):
     rng = make_rng(seed)
-    return [
-        make_unknown(rng.standard_normal(d), int(rng.choice(k)),
-                     float(rng.uniform(0.05, 1.0)))
+    return make_log([
+        (rng.standard_normal(d), int(rng.choice(k)), float(rng.uniform(0.05, 1.0)))
         for _ in range(n)
-    ]
+    ], k)
 
 
 class TestIpsRisk:
     def test_single_sample_unit_weight(self):
-        S = [make_known([0.0, 0.0], 0, 0.5, -1.0)]
+        S = make_log([([0.0, 0.0], 0, 0.5, -1.0)], 2)
         assert ips_risk(uniform_policy(2, 2), S) == pytest.approx(-1.0, abs=1e-15)
 
     def test_policy_equal_logging_gives_mean_reward(self):
@@ -56,7 +52,7 @@ class TestIpsRisk:
             type(env)(env.context_probs, env.logging_table,
                       env.logging_table, env.reward_table)
         )
-        mean_reward = np.mean([s.reward for s in S])
+        mean_reward = np.mean(S.rewards)
         assert ips_risk(policy, S) == pytest.approx(mean_reward, abs=1e-10)
 
     def test_one_sample_expectation_equals_true_risk(self):
@@ -69,15 +65,15 @@ class TestIpsRisk:
             ctx = np.zeros(env.num_contexts)
             ctx[x] = 1.0
             for a in range(env.action_count):
-                sample = make_known(ctx, a, env.logging_table[x, a],
-                                    env.reward_table[x, a])
+                sample = make_log([(ctx, a, env.logging_table[x, a],
+                                    env.reward_table[x, a])], env.action_count)
                 weight = env.context_probs[x] * env.logging_table[x, a]
-                expectation += weight * ips_risk(policy, [sample])
+                expectation += weight * ips_risk(policy, sample)
         assert expectation == pytest.approx(exact_true_risk(env), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ips_risk(uniform_policy(2, 2), [])
+            ips_risk(uniform_policy(2, 2), make_log([([0.0, 0.0], 0, 0.5, -1.0)], 2).take([]))
 
 
 class TestTruncatedIps:
@@ -94,12 +90,12 @@ class TestTruncatedIps:
         S = env.sample_logged(100, rng)
         policy = table_policy(env)
         expected = np.mean([
-            s.reward * policy.probs(s.context)[s.action] for s in S
+            r * policy.probs(x)[a] for x, a, r in zip(S.contexts, S.actions, S.rewards)
         ])
         assert truncated_ips_risk(policy, S, 1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_hand_value(self):
-        S = [make_known([0.0, 0.0], 0, 0.1, -1.0)]
+        S = make_log([([0.0, 0.0], 0, 0.1, -1.0)], 2)
         got = truncated_ips_risk(uniform_policy(2, 2), S, 0.2)
         assert got == pytest.approx(-1.0 * 0.5 / 0.2, abs=1e-12)  # -2.5
 
@@ -107,11 +103,11 @@ class TestTruncatedIps:
 class TestKlRegularizer:
     def test_matching_propensities_give_zero(self):
         # pi = 0.25 everywhere (uniform k=4) and p = 0.25 on every sample
-        S_u = [make_unknown([float(i), 0.0], i % 4, 0.25) for i in range(8)]
+        S_u = make_log([([float(i), 0.0], i % 4, 0.25) for i in range(8)], 4)
         assert kl_regularizer(uniform_policy(2, 4), S_u, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        S_u = [make_unknown([0.0, 0.0], 1, 0.5)]
+        S_u = make_log([([0.0, 0.0], 1, 0.5)], 4)
         got = kl_regularizer(uniform_policy(2, 4), S_u, 0.0)
         assert got == pytest.approx(0.25 * math.log(0.5), abs=1e-9)  # ~ -0.173287
 
@@ -135,17 +131,17 @@ class TestKlRegularizer:
 
 class TestRklAndWce:
     def test_matching_propensities_give_zero_rkl(self):
-        S_u = [make_unknown([1.0, -1.0], i % 4, 0.25) for i in range(8)]
+        S_u = make_log([([1.0, -1.0], i % 4, 0.25) for i in range(8)], 4)
         assert rkl_regularizer(uniform_policy(2, 4), S_u) == pytest.approx(0.0, abs=1e-12)
 
     def test_rkl_wce_decomposition(self):
         S_u = random_unknowns(n=50, seed=8)
         policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(9))
-        actions = np.array([s.action for s in S_u])
+        actions = S_u.actions
         counts = np.bincount(actions, minlength=3)
         entropy_term = sum(
-            (1.0 / counts[s.action]) * s.propensity * math.log(s.propensity)
-            for s in S_u
+            (1.0 / counts[a]) * p * math.log(p)
+            for a, p in zip(S_u.actions, S_u.propensities)
         )
         lhs = rkl_regularizer(policy, S_u)
         rhs = wce_regularizer(policy, S_u, 0.0) + entropy_term
@@ -160,7 +156,7 @@ class TestRklAndWce:
         assert abs(rkl_regularizer(policy, S_u) - D_r) < 0.02
 
     def test_wce_hand_value(self):
-        S_u = [make_unknown([0.0, 0.0], 0, 0.5)]
+        S_u = make_log([([0.0, 0.0], 0, 0.5)], 2)
         got = wce_regularizer(uniform_policy(2, 2), S_u, 0.0)
         assert got == pytest.approx(0.5 * math.log(2.0), abs=1e-12)  # ~ 0.346574
 
@@ -174,11 +170,11 @@ class TestRklAndWce:
     def test_wce_tau_one_is_propensity_free(self):
         S_u = random_unknowns(n=25, seed=13)
         policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(14))
-        actions = np.array([s.action for s in S_u])
+        actions = S_u.actions
         counts = np.bincount(actions, minlength=3)
         expected = sum(
-            -(1.0 / counts[s.action]) * math.log(policy.probs(s.context)[s.action])
-            for s in S_u
+            -(1.0 / counts[a]) * math.log(policy.probs(x)[a])
+            for x, a in zip(S_u.contexts, S_u.actions)
         )
         assert wce_regularizer(policy, S_u, 1.0) == pytest.approx(expected, abs=1e-12)
 
@@ -221,8 +217,8 @@ class TestCombinedObjective:
 
 class TestPseudoRewardObjective:
     def test_zero_pseudo_rewards_alpha_one(self):
-        S = [make_known([0.0, 0.0], 0, 0.5, -1.0)]
-        aug = [AugmentedSample(np.zeros(2), 1, 0.5, 0.0)]
+        S = make_log([([0.0, 0.0], 0, 0.5, -1.0)], 2)
+        aug = make_log([(np.zeros(2), 1, 0.5, 0.0)], 2)
         got = pseudo_reward_objective(uniform_policy(2, 2), S, aug, 1.0)
         # alpha/(n+m) * sum over S only: 1/2 * (-1 * 0.5/0.5)
         assert got == pytest.approx(-0.5, abs=1e-12)
@@ -233,16 +229,16 @@ class TestPseudoRewardObjective:
         S = env.sample_logged(30, rng)
         policy = table_policy(env)
         alpha, trunc = 0.7, TruncationParams(zeta=0.01, tau=0.01)
-        got = pseudo_reward_objective(policy, S, [], alpha, trunc)
-        S_u_from_S = [make_unknown(s.context, s.action, s.propensity) for s in S]
+        got = pseudo_reward_objective(policy, S, S.take([]), alpha, trunc)
+        S_u_from_S = S.with_rewards(np.nan)
         expected = (alpha * truncated_ips_risk(policy, S, trunc.zeta)
                     + (1 - alpha) * wce_regularizer(policy, S_u_from_S, trunc.tau))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_two_sample_hand_computation(self):
         policy = uniform_policy(2, 3)  # pi = 1/3 everywhere
-        S = [make_known([0.0, 0.0], 0, 0.4, -1.0)]
-        aug = [AugmentedSample(np.zeros(2), 2, 0.8, -0.25)]
+        S = make_log([([0.0, 0.0], 0, 0.4, -1.0)], 3)
+        aug = make_log([(np.zeros(2), 2, 0.8, -0.25)], 3)
         alpha = 0.6
         pi = 1.0 / 3.0
         ips = (-1.0 * pi / 0.4) + (-0.25 * pi / 0.8)
@@ -261,9 +257,9 @@ class TestPermutationInvariance:
         S_u = sample_unknown(env, 70, rng)
         policy = table_policy(env)
         perm = make_rng(18).permutation(len(S))
-        S_p = [S[i] for i in perm]
+        S_p = S.take(perm)
         perm_u = make_rng(19).permutation(len(S_u))
-        S_u_p = [S_u[i] for i in perm_u]
+        S_u_p = S_u.take(perm_u)
         assert truncated_ips_risk(policy, S, 0.01) == pytest.approx(
             truncated_ips_risk(policy, S_p, 0.01), abs=1e-12)
         assert kl_regularizer(policy, S_u, 0.01) == pytest.approx(
@@ -279,10 +275,10 @@ class TestPermutationInvariance:
         rng = make_rng(seed)
         n = data.draw(st.integers(1, 40))
         perm = data.draw(st.permutations(range(n)))
-        S = [make_known(rng.standard_normal(2), int(rng.choice(3)),
-                        float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
-             for _ in range(n)]
-        S_u = [make_unknown(s.context, s.action, s.propensity) for s in S]
+        S = make_log([(rng.standard_normal(2), int(rng.choice(3)),
+                       float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
+                      for _ in range(n)], 3)
+        S_u = S.with_rewards(np.nan)
         policy = SoftmaxPolicy.create(2, 3, (5,), rng)
         estimates = [
             lambda rows: truncated_ips_risk(policy, rows, 0.1),
@@ -292,7 +288,7 @@ class TestPermutationInvariance:
         ]
         for estimate, rows in zip(estimates, (S, S_u, S_u, S_u)):
             # relative 1e-12; the absolute floor covers sums that cancel to ~0
-            assert estimate([rows[i] for i in perm]) == pytest.approx(
+            assert estimate(rows.take(list(perm))) == pytest.approx(
                 estimate(rows), rel=1e-12, abs=1e-12)
 
 
@@ -302,8 +298,8 @@ class TestUnderflow:
         # exactly 0 and log(softmax) would be -inf
         policy = SoftmaxPolicy(weights=[np.zeros((2, 2))], biases=[np.array([0.0, -1000.0])])
         assert policy.probs_batch(np.zeros((1, 2)))[0, 1] == 0.0
-        S_u = [make_unknown([0.3, -0.2], 1, 0.4), make_unknown([0.1, 0.5], 0, 0.6)]
-        batch = stack_unknown(S_u)
+        S_u = make_log([([0.3, -0.2], 1, 0.4), ([0.1, 0.5], 0, 0.6)], 2)
+        batch = S_u
         assert wce_regularizer(policy, S_u, 0.01) == pytest.approx(
             0.4 * 1000.0 + 0.6 * math.log1p(math.exp(-1000.0)))
         assert math.isfinite(kl_regularizer(policy, S_u, 0.01))

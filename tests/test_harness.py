@@ -174,6 +174,28 @@ class TestRunExperiment:
         assert errors == []
         assert len(rows) == 1 and np.isfinite(rows[0].expected_risk)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algorithms, learning_rate", [
+        (("PR",), 1e8), (("WCE", "KL", "PR"), 1e200),
+    ])
+    def test_divergence_is_a_cell_error(self, tmp_path, algorithms, learning_rate):
+        # a diverged cell goes to errors.txt, not into metrics.csv as NaN
+        from semicrm.estimators import TruncationParams
+        from semicrm.trainers import TrainConfig
+
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(dim=4, num_classes=3), train_rows=600,
+            test_rows=200, algorithms=algorithms, alphas=(0.5,), repetitions=1,
+            train=TrainConfig(trunc=TruncationParams(0.001, 0.001), epochs=50,
+                              learning_rate=learning_rate),
+            output_dir=str(tmp_path),
+        )
+        rows, errors = run_experiment(cfg)
+        assert rows == [] and len(errors) == len(algorithms)
+        assert all("training diverged at step" in e for e in errors)
+        assert (tmp_path / "errors.txt").read_text().splitlines() == errors
+        assert (tmp_path / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+
     def test_only_value_errors_become_cell_errors(self, monkeypatch):
         def fails_with(exc):
             def trainer(S, S_u, cfg, init):

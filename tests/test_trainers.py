@@ -2,22 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_known, make_unknown, sample_unknown, table_policy
+from conftest import make_log, sample_unknown
 
 from semicrm.bounds import random_environment
-from semicrm.data import AugmentedSample, supervised_to_bandit
+from semicrm.data import supervised_to_bandit
 from semicrm.estimators import (
     TruncationParams,
     combined_objective,
     pseudo_reward_objective,
-    stack_known,
-    stack_unknown,
 )
 from semicrm.harness import SyntheticSpec, generate_synthetic
-from semicrm.policy import PolicyGradient, SoftmaxPolicy
+from semicrm.policy import DimensionMismatchError, PolicyGradient, SoftmaxPolicy
 from semicrm.rng import make_rng
 from semicrm.trainers import (
     TrainConfig,
+    TrainingDiverged,
     fit_reward_regressor,
     grad_kl,
     grad_pseudo_reward,
@@ -49,16 +48,15 @@ def nudged(policy, flat_delta):
 
 def random_batches(seed=0, n=12, m=16, d=3, k=3):
     rng = make_rng(seed)
-    S = [
-        make_known(rng.standard_normal(d), int(rng.choice(k)),
-                   float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
+    S = make_log([
+        (rng.standard_normal(d), int(rng.choice(k)),
+         float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
         for _ in range(n)
-    ]
-    S_u = [
-        make_unknown(rng.standard_normal(d), int(rng.choice(k)),
-                     float(rng.uniform(0.05, 1.0)))
+    ], k)
+    S_u = make_log([
+        (rng.standard_normal(d), int(rng.choice(k)), float(rng.uniform(0.05, 1.0)))
         for _ in range(m)
-    ]
+    ], k)
     return S, S_u
 
 
@@ -78,7 +76,7 @@ class TestObjectiveGradients:
     def test_truncated_ips(self, seed):
         S, _ = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 50))
-        batch = stack_known(S)
+        batch = S
         _, grad = grad_truncated_ips(policy, batch, 0.1)
         check_gradient(policy, lambda p: grad_truncated_ips(p, batch, 0.1)[0], grad)
 
@@ -86,7 +84,7 @@ class TestObjectiveGradients:
     def test_wce(self, seed):
         _, S_u = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 60))
-        batch = stack_unknown(S_u)
+        batch = S_u
         _, grad = grad_wce(policy, batch, 0.05)
         check_gradient(policy, lambda p: grad_wce(p, batch, 0.05)[0], grad)
 
@@ -94,7 +92,7 @@ class TestObjectiveGradients:
     def test_kl(self, seed):
         _, S_u = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 70))
-        batch = stack_unknown(S_u)
+        batch = S_u
         _, grad = grad_kl(policy, batch, 0.05)
         check_gradient(policy, lambda p: grad_kl(p, batch, 0.05)[0], grad)
 
@@ -102,10 +100,9 @@ class TestObjectiveGradients:
     def test_pseudo_reward(self, seed):
         S, S_u = random_batches(seed)
         rng = make_rng(seed + 80)
-        aug = [AugmentedSample(s.context, s.action, s.propensity,
-                               float(rng.uniform(-1.0, 0.0))) for s in S_u]
+        aug = S_u.with_rewards([float(rng.uniform(-1.0, 0.0)) for _ in range(len(S_u))])
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 90))
-        known, aug_batch = stack_known(S), stack_unknown(aug)
+        known, aug_batch = S, aug
         trunc = TruncationParams(zeta=0.05, tau=0.05)
 
         def value(p):
@@ -131,7 +128,7 @@ class TestValuesAndGradientsShareOneDefinition:
         trainer = {"WCE": train_wce_crm, "KL": train_kl_crm, "PR": train_pr_crm}[algorithm]
         stepped, _ = trainer(S, S_u, cfg, init)
         if algorithm == "PR":
-            aug = predict_pseudo_rewards(fit_reward_regressor(S, 3), S_u)
+            aug = predict_pseudo_rewards(fit_reward_regressor(S), S_u)
             value_fn = lambda p: pseudo_reward_objective(p, S, aug, alpha, trunc)
         else:
             value_fn = lambda p: combined_objective(p, S, S_u, alpha, trunc, algorithm)
@@ -152,8 +149,8 @@ class TestHandWorkedStep:
         x_u, a_u, p_u = -0.7, 1, 0.6
         alpha, lr = 0.6, 1.0
 
-        S = [make_known([x_k], a_k, p_k, r_k)]
-        S_u = [make_unknown([x_u], a_u, p_u)]
+        S = make_log([([x_k], a_k, p_k, r_k)], 2)
+        S_u = make_log([([x_u], a_u, p_u)], 2)
         cfg = TrainConfig(alpha=alpha, trunc=TruncationParams(),
                           epochs=1, batch_known=1, batch_unknown=1,
                           learning_rate=lr, seed=0)
@@ -237,9 +234,30 @@ class TestTrainerContracts:
     def test_empty_dataset_errors(self):
         S, S_u, init = self.make_setup(3)
         with pytest.raises(ValueError):
-            train_wce_crm([], S_u, self.cfg(alpha=0.5), init)
+            train_wce_crm(S.take([]), S_u, self.cfg(alpha=0.5), init)
         with pytest.raises(ValueError):
-            train_wce_crm(S, [], self.cfg(alpha=0.5), init)
+            train_wce_crm(S, S_u.take([]), self.cfg(alpha=0.5), init)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_with_its_step(self):
+        S, S_u, init = self.make_setup(5)
+        with pytest.raises(TrainingDiverged) as err:
+            train_kl_crm(S, S_u, self.cfg(learning_rate=1e200), init)
+        assert err.value.step == 1 and isinstance(err.value, ValueError)
+        # a last update that overflows the parameters is caught after the loop
+        S = make_log([([1000.0, -1000.0], 0, 0.5, -1.0)], 2)
+        S_u = make_log([([-1000.0, 1000.0], 1, 0.5)], 2)
+        init = SoftmaxPolicy.create(2, 2, (3,), make_rng(0))
+        with pytest.raises(TrainingDiverged, match="non-finite parameters") as err:
+            train_wce_crm(S, S_u, TrainConfig(epochs=1, learning_rate=1e308), init)
+        assert err.value.step == 0
+
+    def test_initial_policy_needs_every_logged_action(self):
+        S, S_u, _ = self.make_setup(6)
+        too_small = SoftmaxPolicy.create(3, 2, (6,), make_rng(7))
+        for trainer in (train_wce_crm, train_kl_crm, train_pr_crm):
+            with pytest.raises(DimensionMismatchError):
+                trainer(S, S_u, self.cfg(), too_small)
 
     def test_alpha_zero_wce_moves_toward_logging_policy(self):
         # synthetic env with a known logging policy; full-batch descent on the
@@ -248,7 +266,7 @@ class TestTrainerContracts:
         ds = generate_synthetic(spec, 400, 11)
         logging = SoftmaxPolicy.create(3, 3, (8,), make_rng(12))
         S_all = supervised_to_bandit(ds, logging, make_rng(13))
-        S_u = [make_unknown(s.context, s.action, s.propensity) for s in S_all]
+        S_u = S_all.with_rewards(np.nan)
         init = SoftmaxPolicy.create(3, 3, (20, 20), make_rng(14))
         held_out = generate_synthetic(spec, 200, 15).features
 
@@ -261,7 +279,7 @@ class TestTrainerContracts:
         for epochs in (50, 100, 200):
             cfg = self.cfg(alpha=0.0, epochs=epochs, batch_known=1,
                            batch_unknown=len(S_u), learning_rate=0.05, seed=16)
-            policy, _ = train_wce_crm([], S_u, cfg, init)
+            policy, _ = train_wce_crm(S_u.take([]), S_u, cfg, init)
             tvs.append(mean_tv(policy))
         assert all(b < a for a, b in zip(tvs, tvs[1:]))
 
@@ -278,19 +296,19 @@ class TestTrainerContracts:
 class TestRewardRegressor:
     def test_constant_rewards(self):
         rng = make_rng(20)
-        S = [make_known(rng.standard_normal(3), int(rng.choice(2)),
-                        float(rng.uniform(0.1, 1.0)), -1.0) for _ in range(40)]
-        reg = fit_reward_regressor(S, 2)
-        for s in S:
-            assert reg.predict(s.context, s.action) == pytest.approx(-1.0, abs=1e-6)
+        S = make_log([(rng.standard_normal(3), int(rng.choice(2)),
+                       float(rng.uniform(0.1, 1.0)), -1.0) for _ in range(40)], 2)
+        reg = fit_reward_regressor(S)
+        for x, a in zip(S.contexts, S.actions):
+            assert reg.predict(x, a) == pytest.approx(-1.0, abs=1e-6)
 
     def test_first_order_optimality(self):
         rng = make_rng(21)
-        S = [make_known(rng.standard_normal(3), int(rng.choice(3)),
-                        float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 0)))
-             for _ in range(60)]
-        reg = fit_reward_regressor(S, 3)
-        batch = stack_known(S)
+        S = make_log([(rng.standard_normal(3), int(rng.choice(3)),
+                       float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 0)))
+                      for _ in range(60)], 3)
+        reg = fit_reward_regressor(S)
+        batch = S
         phi = reg.features(batch.contexts, batch.actions)
         total_p = batch.propensities.sum()
         resid = phi @ reg.weights - batch.rewards
@@ -299,11 +317,11 @@ class TestRewardRegressor:
 
     def test_matches_gradient_descent_oracle(self):
         rng = make_rng(22)
-        S = [make_known(rng.standard_normal(2), int(rng.choice(2)),
-                        float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 0)))
-             for _ in range(50)]
-        reg = fit_reward_regressor(S, 2)
-        batch = stack_known(S)
+        S = make_log([(rng.standard_normal(2), int(rng.choice(2)),
+                       float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 0)))
+                      for _ in range(50)], 2)
+        reg = fit_reward_regressor(S)
+        batch = S
         phi = reg.features(batch.contexts, batch.actions)
         wts = batch.propensities / batch.propensities.sum()
         beta = np.zeros(phi.shape[1])
@@ -313,15 +331,15 @@ class TestRewardRegressor:
         assert np.max(np.abs(beta - reg.weights)) < 1e-6
 
     def test_pseudo_reward_clamping(self):
-        reg = fit_reward_regressor([make_known([0.0], 0, 0.5, -1.0),
-                                    make_known([1.0], 0, 0.5, -1.0)], 1)
+        reg = fit_reward_regressor(make_log([([0.0], 0, 0.5, -1.0),
+                                             ([1.0], 0, 0.5, -1.0)], 1))
         reg.weights[:] = 0.0
         reg.weights[-1] = 0.3   # constant raw prediction 0.3
-        aug = predict_pseudo_rewards(reg, [make_unknown([2.0], 0, 0.5)])
-        assert aug[0].pseudo_reward == 0.0
+        aug = predict_pseudo_rewards(reg, make_log([([2.0], 0, 0.5)], 1))
+        assert aug.rewards[0] == 0.0
         reg.weights[-1] = -0.4
-        aug = predict_pseudo_rewards(reg, [make_unknown([2.0], 0, 0.5)])
-        assert aug[0].pseudo_reward == pytest.approx(-0.4, abs=1e-12)
+        aug = predict_pseudo_rewards(reg, make_log([([2.0], 0, 0.5)], 1))
+        assert aug.rewards[0] == pytest.approx(-0.4, abs=1e-12)
 
 
 class TestPrCrm:
@@ -332,8 +350,8 @@ class TestPrCrm:
         cfg_pr = TrainConfig(alpha=alpha, trunc=TruncationParams(zeta=0.01, tau=0.01),
                              epochs=20, batch_known=25, batch_unknown=5,
                              learning_rate=0.05, seed=9)
-        p_pr, _ = train_pr_crm(S, [], cfg_pr, init)
-        S_u_from_S = [make_unknown(s.context, s.action, s.propensity) for s in S]
+        p_pr, _ = train_pr_crm(S, S.take([]), cfg_pr, init)
+        S_u_from_S = S.with_rewards(np.nan)
         cfg_wce = TrainConfig(alpha=alpha, trunc=TruncationParams(zeta=0.01, tau=0.01),
                               epochs=20, batch_known=25, batch_unknown=25,
                               learning_rate=0.05, seed=9)

@@ -8,6 +8,7 @@ independent oracles for the sample-based estimators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,21 +312,31 @@ def write_environment(path, env: DiscreteEnvironment) -> None:
 
 
 def read_environment(path) -> DiscreteEnvironment:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() != ""]
+    """Read an environment file; a malformed line is rejected with its number."""
     sections: dict[str, list[list[float]]] = {}
     current: str | None = None
-    for lineno, line in enumerate(lines, start=1):
-        if line in _SECTIONS:
-            current = line
-            sections[current] = []
-        elif current is None:
-            raise ValueError(f"{path}:{lineno}: expected a section name, got {line!r}")
-        else:
-            sections[current].append([float(v) for v in line.split(",")])
-    missing = [s for s in _SECTIONS if s not in sections]
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line in _SECTIONS:
+                current = line
+                sections[current] = []
+            elif line:
+                where = f"{path}: line {lineno}"
+                if current is None:
+                    raise ValueError(f"{where}: expected a section name, got {line!r}")
+                try:
+                    values = [float(v) for v in line.split(",")]
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
+                rows = sections[current]
+                width = len(rows[0]) if rows else len(values)
+                if len(values) != width or not all(map(math.isfinite, values)):
+                    raise ValueError(f"{where}: expected {width} finite values")
+                rows.append(values)
+    missing = [s for s in _SECTIONS if not sections.get(s)]
     if missing:
-        raise ValueError(f"{path}: missing sections {missing}")
+        raise ValueError(f"{path}: missing or empty sections {missing}")
     return DiscreteEnvironment(
         np.array(sections["context_probs"][0]),
         np.array(sections["logging"]),

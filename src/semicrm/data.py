@@ -206,23 +206,33 @@ def write_bandit_csv(path, log: BanditLog) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_lines(path) -> list[str]:
+def _read_lines(path):
+    """(line number, line) for each non-blank line; blank lines are counted."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line.rstrip("\n")
+
+
+def _header(lines, tail: list[str]) -> int:
+    """Read the header, which must end with the ``tail`` fields; returns the
+    number of feature columns before them."""
+    lineno, line = next(lines, (1, None))
+    if line is None:
         raise DatasetFormatError(1, "empty file")
-    return lines
+    fields = line.split(",")
+    if fields[-len(tail):] != tail:
+        raise DatasetFormatError(lineno, f"header must end with {','.join(tail)}")
+    return len(fields) - len(tail)
 
 
-def _finite_features(feats: array, n: int, d: int) -> np.ndarray:
-    """The (n, d) array of the features parsed into ``feats``, row after row.
-
-    A non-finite feature is reported on its row's line; row i is line i + 2.
-    """
-    features = np.array(feats, dtype=float).reshape(n, d)
+def _finite_features(feats: array, linenos: array, d: int) -> np.ndarray:
+    """The (n, d) array of the features parsed into ``feats``, row after row;
+    a non-finite feature is reported on its row's line, ``linenos[row]``."""
+    features = np.array(feats, dtype=float).reshape(len(linenos), d)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
-        raise DatasetFormatError(int(bad[0]) + 2, "features must be finite")
+        raise DatasetFormatError(linenos[bad[0]], "features must be finite")
     return features
 
 
@@ -235,13 +245,11 @@ def read_bandit_csv(path, validate_reward_range: bool = True) -> tuple[BanditLog
     [-1, 0] (general [c, b] data for the bounds module).
     """
     lines = _read_lines(path)
-    header = lines[0].split(",")
-    if header[-3:] != ["action", "propensity", "reward"]:
-        raise DatasetFormatError(1, "header must end with action,propensity,reward")
-    d = len(header) - 3
+    d = _header(lines, ["action", "propensity", "reward"])
     # flat float arrays rather than one list per row: 8 bytes a value
     feats, actions, propensities, rewards = array("d"), [], array("d"), array("d")
-    for lineno, line in enumerate(lines[1:], start=2):
+    linenos = array("l")
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != d + 3:
             raise DatasetFormatError(lineno, f"expected {d + 3} fields, got {len(fields)}")
@@ -268,7 +276,8 @@ def read_bandit_csv(path, validate_reward_range: bool = True) -> tuple[BanditLog
         actions.append(action)
         propensities.append(propensity)
         rewards.append(reward)
-    log = BanditLog(_finite_features(feats, len(actions), d), actions, propensities,
+        linenos.append(lineno)
+    log = BanditLog(_finite_features(feats, linenos, d), actions, propensities,
                     rewards, max(actions, default=-1) + 1)
     rewarded = ~np.isnan(log.rewards)
     return log.take(rewarded), log.take(~rewarded)
@@ -285,12 +294,9 @@ def write_supervised_csv(path, ds: SupervisedDataset) -> None:
 
 def read_supervised_csv(path) -> SupervisedDataset:
     lines = _read_lines(path)
-    header = lines[0].split(",")
-    if header[-1] != "label":
-        raise DatasetFormatError(1, "header must end with label")
-    d = len(header) - 1
-    feats, labels = array("d"), []
-    for lineno, line in enumerate(lines[1:], start=2):
+    d = _header(lines, ["label"])
+    feats, labels, linenos = array("d"), [], array("l")
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != d + 1:
             raise DatasetFormatError(lineno, f"expected {d + 1} fields, got {len(fields)}")
@@ -299,4 +305,5 @@ def read_supervised_csv(path) -> SupervisedDataset:
             labels.append(int(fields[d]))
         except ValueError as exc:
             raise DatasetFormatError(lineno, str(exc)) from exc
-    return SupervisedDataset(_finite_features(feats, len(labels), d), np.array(labels))
+        linenos.append(lineno)
+    return SupervisedDataset(_finite_features(feats, linenos, d), np.array(labels))

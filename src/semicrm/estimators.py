@@ -1,11 +1,11 @@
 """Empirical risk and divergence estimators over logged bandit data.
 
-Every objective here is a sum over rows that depends on the policy only
-through log pi(a_i|x_i).  :data:`ROW_TERMS` holds one function per term --
-truncated IPS, WCE, forward KL and reverse KL -- that maps log pi on the rows
-it covers to per-row values and per-row factors d value / d log pi.  The
-estimators below sum the values after one forward pass; the trainers turn the
-factors into a gradient (see :mod:`semicrm.trainers`).
+Every objective is alpha * IPS + (1 - alpha) * a regularizer, each term a sum
+over rows that depends on the policy only through log pi(a_i|x_i).
+:data:`ROW_TERMS` maps log pi on the rows a term covers to per-row values and
+factors d value / d log pi, :func:`objective_parts` says which rows each term
+covers, and :func:`term_values` evaluates the parts for the estimators below
+and for the training loop in :mod:`semicrm.trainers`.
 
 All estimators are pure functions of (policy, log) and reduce in fixed
 left-to-right order, so repeated evaluation is bit-identical.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BanditLog
-from .policy import SoftmaxPolicy, log_softmax
+from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -90,20 +90,47 @@ ROW_TERMS = {"IPS": _ips_rows, "WCE": _wce_rows, "KL": _kl_rows, "RKL": _rkl_row
 REGULARIZERS = ("KL", "RKL", "WCE")
 
 
-def _log_pi(policy: SoftmaxPolicy, rows: BanditLog) -> np.ndarray:
-    """log pi(a_i|x_i) for every row, from one forward pass."""
-    scores, _ = policy.forward(rows.contexts)
-    return log_softmax(scores, rows.actions)
+def objective_parts(regularizer: str, alpha: float, trunc: TruncationParams,
+                    n_known: int, pooled: bool = False) -> list[tuple]:
+    """(term, rows, scale, floor) for alpha * IPS + (1 - alpha) * regularizer over
+    rows whose first ``n_known`` are rewarded: IPS covers those and the
+    regularizer the rest, or, pooled (PR-CRM), both terms cover every row."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if regularizer not in REGULARIZERS:
+        raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
+    known = slice(None) if pooled else slice(0, n_known)
+    unknown = slice(None) if pooled else slice(n_known, None)
+    return [("IPS", known, alpha, trunc.zeta), (regularizer, unknown, 1.0 - alpha, trunc.tau)]
 
 
-def _estimate(term: str, policy: SoftmaxPolicy, rows: BanditLog, floor: float) -> float:
-    """Sum of one row term's values over ``rows``; no gradient is formed."""
+def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts,
+                gradient: bool = False) -> tuple[list[float], PolicyGradient | None]:
+    """The unscaled value of each part over ``rows`` from one forward pass and,
+    with ``gradient``, the gradient of sum_j scale_j * value_j (else None): a
+    factor f moves the scores of its row by f (e_a - pi(.|x)), so only the
+    gradient needs the full softmax and the backward pass."""
     if not len(rows):
         raise ValueError("empty log")
-    values, _ = ROW_TERMS[term](
-        _log_pi(policy, rows), rows.actions, rows.propensities, rows.rewards, floor
-    )
-    return float(np.sum(values))
+    scores, cache = policy.forward(rows.contexts)
+    log_pi = log_softmax(scores, rows.actions)
+    factors = np.zeros(len(rows))
+    values = []
+    for term, part, scale, floor in parts:
+        value, factor = ROW_TERMS[term](log_pi[part], rows.actions[part],
+                                        rows.propensities[part], rows.rewards[part], floor)
+        factors[part] += scale * factor
+        values.append(float(np.sum(value)))
+    if not gradient:
+        return values, None
+    dscores = -factors[:, None] * softmax(scores)
+    dscores[np.arange(len(rows)), rows.actions] += factors
+    return values, policy.backward(cache, dscores)
+
+
+def _estimate(policy: SoftmaxPolicy, rows: BanditLog, parts) -> float:
+    values, _ = term_values(policy, rows, parts)
+    return sum(scale * value for (_, _, scale, _), value in zip(parts, values))
 
 
 # ---- risk estimators -------------------------------------------------------
@@ -116,7 +143,7 @@ def ips_risk(policy: SoftmaxPolicy, S: BanditLog) -> float:
 
 def truncated_ips_risk(policy: SoftmaxPolicy, S: BanditLog, zeta: float) -> float:
     """IPS risk with the propensity denominator floored at zeta."""
-    return _estimate("IPS", policy, S, zeta)
+    return _estimate(policy, S, [("IPS", slice(None), 1.0, zeta)])
 
 
 # ---- reward-free regularizers ----------------------------------------------
@@ -124,17 +151,17 @@ def truncated_ips_risk(policy: SoftmaxPolicy, S: BanditLog, zeta: float) -> floa
 
 def kl_regularizer(policy: SoftmaxPolicy, S_u: BanditLog, tau: float = 0.0) -> float:
     """Truncated forward-KL estimate: per action group, mean of pi log(pi / max(tau, p))."""
-    return _estimate("KL", policy, S_u, tau)
+    return _estimate(policy, S_u, [("KL", slice(None), 1.0, tau)])
 
 
 def rkl_regularizer(policy: SoftmaxPolicy, S_u: BanditLog) -> float:
     """Reverse-KL estimate: per action group, mean of -p log pi + p log p."""
-    return _estimate("RKL", policy, S_u, 0.0)
+    return _estimate(policy, S_u, [("RKL", slice(None), 1.0, 0.0)])
 
 
 def wce_regularizer(policy: SoftmaxPolicy, S_u: BanditLog, tau: float = 0.0) -> float:
     """Truncated weighted cross-entropy: per action group, mean of -max(tau, p) log pi."""
-    return _estimate("WCE", policy, S_u, tau)
+    return _estimate(policy, S_u, [("WCE", slice(None), 1.0, tau)])
 
 
 def combined_objective(
@@ -145,14 +172,8 @@ def combined_objective(
     trunc: TruncationParams = TruncationParams(),
     variant: str = "WCE",
 ) -> float:
-    """Convex combination alpha * truncated IPS risk + (1 - alpha) * regularizer."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if variant not in REGULARIZERS:
-        raise ValueError(f"variant must be one of {REGULARIZERS}, got {variant!r}")
-    risk = truncated_ips_risk(policy, S, trunc.zeta) if alpha > 0.0 else 0.0
-    reg = _estimate(variant, policy, S_u, trunc.tau) if alpha < 1.0 else 0.0
-    return alpha * risk + (1.0 - alpha) * reg
+    """alpha * truncated IPS risk on S + (1 - alpha) * regularizer on S_u."""
+    return _estimate(policy, S.concat(S_u), objective_parts(variant, alpha, trunc, len(S)))
 
 
 def pseudo_reward_objective(
@@ -167,10 +188,5 @@ def pseudo_reward_objective(
     alpha/(n+m), plus (1 - alpha) times the WCE regularizer over the union
     (action groups computed on the union).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    rows = S.concat(S_u_aug)
-    args = (_log_pi(policy, rows), rows.actions, rows.propensities, rows.rewards)
-    ips, _ = _ips_rows(*args, trunc.zeta)
-    wce, _ = _wce_rows(*args, trunc.tau)
-    return alpha * float(np.sum(ips)) + (1.0 - alpha) * float(np.sum(wce))
+    parts = objective_parts("WCE", alpha, trunc, len(S), pooled=True)
+    return _estimate(policy, S.concat(S_u_aug), parts)

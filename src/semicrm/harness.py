@@ -64,15 +64,14 @@ def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> SupervisedData
     return SupervisedDataset(features, labels)
 
 
-def train_logging_policy(
-    ds: SupervisedDataset,
-    fraction: float,
-    seed: int,
-    hidden_widths: tuple[int, ...] = (20, 20),
-    epochs: int = 500,
-    learning_rate: float = 0.05,
-    batch_size: int = 64,
-) -> SoftmaxPolicy:
+# minibatch cross-entropy fit of the logging policy
+LOGGING_HIDDEN_WIDTHS = (20, 20)
+LOGGING_STEPS = 500
+LOGGING_LEARNING_RATE = 0.05
+LOGGING_BATCH_SIZE = 64
+
+
+def train_logging_policy(ds: SupervisedDataset, fraction: float, seed: int) -> SoftmaxPolicy:
     """Fit a softmax policy by cross-entropy on a random ``fraction`` subsample."""
     rng = make_rng(derive_seed(seed, "logging-policy"))
     n_sub = int(round(fraction * len(ds)))
@@ -81,9 +80,9 @@ def train_logging_policy(
             f"fraction {fraction} leaves {n_sub} rows, fewer than {ds.num_classes} classes"
         )
     sub = ds.subset(np.sort(rng.permutation(len(ds))[:n_sub]))
-    policy = SoftmaxPolicy.create(ds.dim, ds.num_classes, hidden_widths, rng)
-    batch_size = min(batch_size, n_sub)
-    for _ in range(epochs):
+    policy = SoftmaxPolicy.create(ds.dim, ds.num_classes, LOGGING_HIDDEN_WIDTHS, rng)
+    batch_size = min(LOGGING_BATCH_SIZE, n_sub)
+    for _ in range(LOGGING_STEPS):
         idx = np.sort(rng.permutation(n_sub)[:batch_size])
         X, y = sub.features[idx], sub.labels[idx]
         scores, cache = policy.forward(X)
@@ -91,7 +90,7 @@ def train_logging_policy(
         dscores = probs.copy()
         dscores[np.arange(len(y)), y] -= 1.0
         dscores /= len(y)
-        policy.apply_update(policy.backward(cache, dscores), learning_rate)
+        policy.apply_update(policy.backward(cache, dscores), LOGGING_LEARNING_RATE)
     return policy
 
 

@@ -219,30 +219,40 @@ def save_policy(policy: SoftmaxPolicy, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_row(line: str) -> np.ndarray:
-    return np.array([float(tok) for tok in line.split()], dtype=float)
-
-
 def load_policy(path) -> SoftmaxPolicy:
+    """Read a checkpoint; a malformed one is rejected with its 1-based line number."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC} checkpoint")
-    dims = [int(tok) for tok in lines[1].split()[1:]]
+
+    def line(pos: int, expected: str | None = None) -> str:
+        if pos >= len(lines):
+            raise ValueError(f"{path}: line {pos + 1}: unexpected end of file")
+        if expected is not None and lines[pos] != expected:
+            raise ValueError(f"{path}: line {pos + 1}: expected {expected}")
+        return lines[pos]
+
+    def row(pos: int, width: int) -> np.ndarray:
+        tokens = line(pos).split()
+        try:
+            values = np.array([float(tok) for tok in tokens], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {pos + 1}: {exc}") from exc
+        if values.shape != (width,) or not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: line {pos + 1}: expected {width} finite values")
+        return values
+
+    head, *sizes = line(1).split() or [""]
+    if head != "dims" or len(sizes) < 2 or not all(t.isdigit() and int(t) for t in sizes):
+        raise ValueError(f"{path}: line 2: expected dims and two or more layer sizes")
+    dims = [int(t) for t in sizes]
     weights, biases = [], []
     pos = 2
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if lines[pos] != f"W{i}":
-            raise ValueError(f"{path}: expected W{i} at line {pos + 1}")
-        pos += 1
-        rows = [_parse_row(lines[pos + r]) for r in range(fan_in)]
-        pos += fan_in
-        weights.append(np.vstack(rows))
-        if lines[pos] != f"b{i}":
-            raise ValueError(f"{path}: expected b{i} at line {pos + 1}")
-        pos += 1
-        biases.append(_parse_row(lines[pos]))
-        pos += 1
-        if weights[-1].shape != (fan_in, fan_out) or biases[-1].shape != (fan_out,):
-            raise ValueError(f"{path}: layer {i} has wrong dimensions")
+        line(pos, f"W{i}")
+        weights.append(np.vstack([row(pos + 1 + r, fan_out) for r in range(fan_in)]))
+        line(pos + 1 + fan_in, f"b{i}")
+        biases.append(row(pos + 2 + fan_in, fan_out))
+        pos += 3 + fan_in
     return SoftmaxPolicy(weights, biases)

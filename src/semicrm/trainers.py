@@ -1,14 +1,13 @@
 """Training for WCE-CRM, KL-CRM and PR-CRM, plus the reward regressor.
 
 Every objective is alpha times the truncated IPS term plus (1 - alpha) times a
-regularizer term, both taken from :data:`semicrm.estimators.ROW_TERMS`.  A row
-term gives per-row values and factors d value / d log pi(a_i|x_i), and a factor
-f_i moves the scores of row i by f_i (e_a - pi(.|x_i)).  So one forward and one
-backward over a minibatch of known rows followed by unknown rows yield the
-value and gradient of the whole objective.  WCE-CRM and KL-CRM put the IPS term
-on the known rows and the regularizer on the unknown rows; PR-CRM puts the IPS
-and WCE terms on all rows, the unknown ones carrying pseudo-rewards.
-:data:`TRAINERS` maps each algorithm name to its trainer.
+regularizer term, laid out over a minibatch of known rows followed by unknown
+rows by :func:`semicrm.estimators.objective_parts`; one call to
+:func:`semicrm.estimators.term_values` gives its value and gradient.  WCE-CRM
+and KL-CRM put the IPS term on the known rows and the regularizer on the
+unknown rows; PR-CRM puts the IPS and WCE terms on all rows, the unknown ones
+carrying pseudo-rewards.  :data:`TRAINERS` maps each algorithm name to its
+trainer.
 """
 
 from __future__ import annotations
@@ -20,14 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BanditLog
-from .estimators import ROW_TERMS, TruncationParams
-from .policy import (
-    DimensionMismatchError,
-    PolicyGradient,
-    SoftmaxPolicy,
-    log_softmax,
-    softmax,
-)
+from .estimators import TruncationParams, objective_parts, term_values
+from .policy import DimensionMismatchError, SoftmaxPolicy
 from .rng import make_rng
 
 
@@ -42,8 +35,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.epochs <= 0 or self.batch_known <= 0 or self.batch_unknown <= 0:
             raise ValueError("epochs and batch sizes must be positive")
         if self.learning_rate <= 0 or not np.isfinite(self.learning_rate):
@@ -84,81 +75,6 @@ class TrainTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def _dscores(probs: np.ndarray, actions: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Assemble dL/dscores when dL/dscores_row = factor * (e_a - probs_row)."""
-    ds = -factors[:, None] * probs
-    ds[np.arange(len(actions)), actions] += factors
-    return ds
-
-
-_ALL_ROWS = slice(None)
-
-
-def _value_and_grad(
-    policy: SoftmaxPolicy, rows: BanditLog, parts
-) -> tuple[list[float], PolicyGradient]:
-    """Values and gradient of sum_j scale_j * term_j over one batch of rows.
-
-    ``parts`` lists (term name, row slice, scale, floor); each term covers its
-    slice of ``rows``.  The values come back unscaled.  One forward and one
-    backward serve every term.
-    """
-    scores, cache = policy.forward(rows.contexts)
-    probs = softmax(scores)
-    log_pi = log_softmax(scores, rows.actions)
-    factors = np.zeros(len(rows))
-    values = []
-    for term, part, scale, floor in parts:
-        value, factor = ROW_TERMS[term](
-            log_pi[part], rows.actions[part], rows.propensities[part],
-            rows.rewards[part], floor,
-        )
-        factors[part] += scale * factor
-        values.append(float(np.sum(value)))
-    return values, policy.backward(cache, _dscores(probs, rows.actions, factors))
-
-
-def grad_truncated_ips(
-    policy: SoftmaxPolicy, batch: BanditLog, zeta: float
-) -> tuple[float, PolicyGradient]:
-    """Value and gradient of (1/n) sum r_i pi(a_i|x_i) / max(zeta, p_i)."""
-    (value,), grad = _value_and_grad(policy, batch, [("IPS", _ALL_ROWS, 1.0, zeta)])
-    return value, grad
-
-
-def grad_wce(
-    policy: SoftmaxPolicy, batch: BanditLog, tau: float
-) -> tuple[float, PolicyGradient]:
-    """Value and gradient of the truncated weighted cross-entropy regularizer."""
-    (value,), grad = _value_and_grad(policy, batch, [("WCE", _ALL_ROWS, 1.0, tau)])
-    return value, grad
-
-
-def grad_kl(
-    policy: SoftmaxPolicy, batch: BanditLog, tau: float
-) -> tuple[float, PolicyGradient]:
-    """Value and gradient of the truncated forward-KL regularizer."""
-    (value,), grad = _value_and_grad(policy, batch, [("KL", _ALL_ROWS, 1.0, tau)])
-    return value, grad
-
-
-def grad_pseudo_reward(
-    policy: SoftmaxPolicy,
-    known: BanditLog,
-    aug: BanditLog,
-    alpha: float,
-    trunc: TruncationParams,
-) -> tuple[float, float, PolicyGradient]:
-    """(ips_term, wce_term, gradient) of the pseudo-reward objective on one batch pair.
-
-    Both terms cover the union of the two batches, so the regularizer groups
-    actions over it.
-    """
-    parts = [("IPS", _ALL_ROWS, alpha, trunc.zeta), ("WCE", _ALL_ROWS, 1.0 - alpha, trunc.tau)]
-    (ips_term, wce_term), grad = _value_and_grad(policy, known.concat(aug), parts)
-    return ips_term, wce_term, grad
-
-
 # ---- the training loop -----------------------------------------------------
 
 
@@ -182,10 +98,9 @@ def _descend(
     """Minibatch descent on alpha * truncated IPS + (1 - alpha) * regularizer.
 
     Each step draws known rows, then unknown rows, and takes one gradient
-    step on the two together.  Pooled, both terms cover every row of the
-    minibatch; otherwise IPS covers the known rows and the regularizer the
-    unknown rows.  Raises :class:`TrainingDiverged` at the first step whose
-    term values or gradient norm are not finite.
+    step on the two together, with the terms laid out by
+    :func:`objective_parts`.  Raises :class:`TrainingDiverged` at the first
+    step whose term values or gradient norm are not finite.
     """
     if cfg.alpha > 0.0 and not len(S):
         raise ValueError("alpha > 0 requires a nonempty known-reward dataset")
@@ -198,10 +113,7 @@ def _descend(
     n_known, n_unknown = len(S), len(S_u)
     batch_known = min(cfg.batch_known, n_known)
     batch_unknown = min(cfg.batch_unknown, n_unknown)
-    known = _ALL_ROWS if pooled else slice(0, batch_known)
-    unknown = _ALL_ROWS if pooled else slice(batch_known, None)
-    parts = [("IPS", known, cfg.alpha, cfg.trunc.zeta),
-             (regularizer, unknown, 1.0 - cfg.alpha, cfg.trunc.tau)]
+    parts = objective_parts(regularizer, cfg.alpha, cfg.trunc, batch_known, pooled)
     policy = init.copy()
     trace = TrainTrace()
     rng = make_rng(cfg.seed)
@@ -210,7 +122,8 @@ def _descend(
         idx_known = _sample_indices(rng, n_known, batch_known)
         idx_unknown = _sample_indices(rng, n_unknown, batch_unknown)
         idx = np.concatenate([idx_known, n_known + idx_unknown])
-        (ips_value, reg_value), grad = _value_and_grad(policy, rows.take(idx), parts)
+        (ips_value, reg_value), grad = term_values(policy, rows.take(idx), parts,
+                                                    gradient=True)
         grad_norm = grad.norm()
         if not all(map(math.isfinite, (ips_value, reg_value, grad_norm))):
             raise TrainingDiverged(step, f"ips_term={ips_value}, reg_term={reg_value}, "
@@ -250,19 +163,13 @@ class RewardRegressor:
     """Linear reward model over phi(x, a) = context (+) one-hot action (+) bias."""
 
     weights: np.ndarray
-    input_dim: int
     action_count: int
 
     def features(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        contexts = np.atleast_2d(contexts)
         n = len(contexts)
         onehot = np.zeros((n, self.action_count))
         onehot[np.arange(n), actions] = 1.0
         return np.hstack([contexts, onehot, np.ones((n, 1))])
-
-    def predict(self, context: np.ndarray, action: int) -> float:
-        phi = self.features(np.asarray(context)[None, :], np.array([action]))
-        return float((phi @ self.weights)[0])
 
     def predict_batch(self, contexts: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return self.features(contexts, actions) @ self.weights
@@ -279,7 +186,7 @@ def fit_reward_regressor(S: BanditLog, ridge: float = 1e-8) -> RewardRegressor:
     total_p = float(np.sum(S.propensities))
     if total_p <= 0.0:
         raise ValueError("propensity weights sum to zero")
-    reg = RewardRegressor(np.zeros(S.dim + S.action_count + 1), S.dim, S.action_count)
+    reg = RewardRegressor(np.zeros(S.dim + S.action_count + 1), S.action_count)
     phi = reg.features(S.contexts, S.actions)
     w = S.propensities / total_p
     gram = phi.T @ (w[:, None] * phi) + ridge * np.eye(phi.shape[1])

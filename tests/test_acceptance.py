@@ -32,17 +32,13 @@ from semicrm.estimators import (
     TruncationParams,
     ips_risk,
     kl_regularizer,
+    objective_parts,
     rkl_regularizer,
+    term_values,
 )
 from semicrm.harness import ExperimentConfig, SyntheticSpec, run_experiment
 from semicrm.policy import SoftmaxPolicy
 from semicrm.rng import make_rng
-from semicrm.trainers import (
-    grad_kl,
-    grad_pseudo_reward,
-    grad_truncated_ips,
-    grad_wce,
-)
 
 
 def check(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -241,19 +237,24 @@ def test_criterion_07_gradient_correctness():
         aug = S_u.with_rewards([float(rng.uniform(-1, 0)) for _ in range(len(S_u))])
         policy = SoftmaxPolicy.create(d, k, (6,), rng)
         trunc = TruncationParams(zeta=0.05, tau=0.05)
+        ips_parts = objective_parts("WCE", 1.0, trunc, len(known))
+        wce_parts = objective_parts("WCE", 0.0, trunc, 0)
+        kl_parts = objective_parts("KL", 0.0, trunc, 0)
+        pooled = known.concat(aug)
+        pr_parts = objective_parts("WCE", 0.6, trunc, len(known), pooled=True)
 
         def pr_value(p):
-            ips, wce, _ = grad_pseudo_reward(p, known, aug, 0.6, trunc)
+            (ips, wce), _ = term_values(p, pooled, pr_parts)
             return 0.6 * ips + 0.4 * wce
 
         objectives = [
-            (lambda p: grad_truncated_ips(p, known, 0.05)[0],
-             grad_truncated_ips(policy, known, 0.05)[1]),
-            (lambda p: grad_wce(p, unknown, 0.05)[0],
-             grad_wce(policy, unknown, 0.05)[1]),
-            (lambda p: grad_kl(p, unknown, 0.05)[0],
-             grad_kl(policy, unknown, 0.05)[1]),
-            (pr_value, grad_pseudo_reward(policy, known, aug, 0.6, trunc)[2]),
+            (lambda p: term_values(p, known, ips_parts)[0][0],
+             term_values(policy, known, ips_parts, gradient=True)[1]),
+            (lambda p: term_values(p, unknown, wce_parts)[0][1],
+             term_values(policy, unknown, wce_parts, gradient=True)[1]),
+            (lambda p: term_values(p, unknown, kl_parts)[0][1],
+             term_values(policy, unknown, kl_parts, gradient=True)[1]),
+            (pr_value, term_values(policy, pooled, pr_parts, gradient=True)[1]),
         ]
         h = 1e-6
         for value_fn, grad in objectives:

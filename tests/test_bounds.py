@@ -281,6 +281,43 @@ class TestEnvironmentFileAndReport:
         assert np.array_equal(loaded.target_table, env.target_table)
         assert np.array_equal(loaded.reward_table, env.reward_table)
 
+    # random_environment(rng, 3, 4): line 1 context_probs, line 3 logging,
+    # lines 4-6 its rows of 4, line 11 rewards, lines 12-14 its rows
+    @staticmethod
+    def edited_environment(tmp_path, edit):
+        path = tmp_path / "env.csv"
+        write_environment(path, random_environment(make_rng(11), 3, 4))
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_non_numeric_value_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            lines[4] = "abc," + lines[4].split(",", 1)[1]
+        with pytest.raises(ValueError, match="line 5"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
+    def test_short_row_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            lines[4] = lines[4].rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match="line 5: expected 4 finite values"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_rejected_with_line_number(self, tmp_path, bad):
+        def edit(lines):
+            lines[12] = f"{bad}," + lines[12].split(",", 1)[1]
+        with pytest.raises(ValueError, match="line 13: expected 4 finite values"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
+    def test_blank_line_counts_toward_line_numbers(self, tmp_path):
+        def edit(lines):
+            lines[4] = "abc," + lines[4].split(",", 1)[1]
+            lines.insert(2, "")
+        with pytest.raises(ValueError, match="line 6"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
     def test_report_brackets_exact_variance(self):
         env = random_environment(make_rng(12), 3, 3)
         report = bound_report(env, delta=0.05, n=100)

@@ -204,6 +204,13 @@ class TestBanditCsv:
             read_bandit_csv(path)
         assert err.value.line_number == 2
 
+    def test_blank_line_counts_toward_line_numbers(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("x0,action,propensity,reward\n1.0,0,0.5,-1\n\n2.0,0,1.5,-1\n")
+        with pytest.raises(DatasetFormatError, match="line 4") as err:
+            read_bandit_csv(path)
+        assert err.value.line_number == 4
+
     def test_reward_range_validated_with_override(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("x0,action,propensity,reward\n1.0,0,0.5,-2.5\n")
@@ -275,3 +282,10 @@ class TestSupervisedCsv:
         with pytest.raises(DatasetFormatError) as err:
             read_supervised_csv(path)
         assert err.value.line_number == 4
+
+    def test_blank_lines_count_toward_feature_line_numbers(self, tmp_path):
+        path = tmp_path / "sup.csv"
+        path.write_text("x0,label\n\n1,0\n\nnan,1\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_supervised_csv(path)
+        assert err.value.line_number == 5

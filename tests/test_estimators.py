@@ -21,14 +21,15 @@ from semicrm.estimators import (
     combined_objective,
     ips_risk,
     kl_regularizer,
+    objective_parts,
     pseudo_reward_objective,
     rkl_regularizer,
+    term_values,
     truncated_ips_risk,
     wce_regularizer,
 )
 from semicrm.policy import SoftmaxPolicy
 from semicrm.rng import make_rng
-from semicrm.trainers import grad_kl, grad_wce
 
 
 def random_unknowns(n=30, d=2, k=3, seed=0):
@@ -303,7 +304,35 @@ class TestUnderflow:
         assert wce_regularizer(policy, S_u, 0.01) == pytest.approx(
             0.4 * 1000.0 + 0.6 * math.log1p(math.exp(-1000.0)))
         assert math.isfinite(kl_regularizer(policy, S_u, 0.01))
-        for grad_fn in (grad_wce, grad_kl):
-            value, grad = grad_fn(policy, batch, 0.01)
+        for regularizer in ("WCE", "KL"):
+            parts = objective_parts(regularizer, 0.0, TruncationParams(tau=0.01), 0)
+            (_, value), grad = term_values(policy, batch, parts, gradient=True)
             assert math.isfinite(value)
             assert all(np.all(np.isfinite(g)) for g in grad.weights + grad.biases)
+
+
+class TestTermValues:
+    def test_value_path_matches_gradient_path(self):
+        rng = make_rng(31)
+        S = make_log([(rng.standard_normal(2), int(rng.choice(3)),
+                       float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
+                      for _ in range(20)], 3)
+        S_u = random_unknowns(n=30, seed=32)
+        aug = S_u.with_rewards(rng.uniform(-1.0, 0.0, len(S_u)))
+        policy = SoftmaxPolicy.create(2, 3, (5,), rng)
+        trunc = TruncationParams(zeta=0.05, tau=0.05)
+        cases = {
+            "WCE": (S.concat(S_u), objective_parts("WCE", 0.6, trunc, len(S))),
+            "KL": (S.concat(S_u), objective_parts("KL", 0.6, trunc, len(S))),
+            "PR": (S.concat(aug), objective_parts("WCE", 0.6, trunc, len(S), pooled=True)),
+        }
+        for rows, parts in cases.values():
+            values, no_grad = term_values(policy, rows, parts)
+            values_too, grad = term_values(policy, rows, parts, gradient=True)
+            assert no_grad is None and grad is not None
+            assert np.array(values).tobytes() == np.array(values_too).tobytes()
+        for alpha in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="alpha"):
+                objective_parts("WCE", alpha, trunc, len(S))
+        with pytest.raises(ValueError, match="regularizer"):
+            objective_parts("CHI2", 0.5, trunc, len(S))

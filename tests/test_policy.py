@@ -182,3 +182,38 @@ class TestCheckpoint:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             load_policy(path)
+
+    # random_policy() checkpoint: line 2 dims, line 3 W0, lines 4-6 its rows of 6
+    @staticmethod
+    def edited_checkpoint(tmp_path, edit):
+        path = tmp_path / "policy.txt"
+        save_policy(random_policy(), path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_truncated_checkpoint_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            del lines[5:]
+        with pytest.raises(ValueError, match="line 6: unexpected end of file"):
+            load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    def test_non_numeric_weight_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            lines[4] = "abc " + lines[4].split(" ", 1)[1]
+        with pytest.raises(ValueError, match="line 5"):
+            load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    def test_short_row_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            lines[4] = lines[4].rsplit(" ", 1)[0]
+        with pytest.raises(ValueError, match="line 5: expected 6 finite values"):
+            load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected_with_line_number(self, tmp_path, bad):
+        def edit(lines):
+            lines[4] = f"{bad} " + lines[4].split(" ", 1)[1]
+        with pytest.raises(ValueError, match="line 5: expected 6 finite values"):
+            load_policy(self.edited_checkpoint(tmp_path, edit))

@@ -9,7 +9,9 @@ from semicrm.data import supervised_to_bandit
 from semicrm.estimators import (
     TruncationParams,
     combined_objective,
+    objective_parts,
     pseudo_reward_objective,
+    term_values,
 )
 from semicrm.harness import SyntheticSpec, generate_synthetic
 from semicrm.policy import DimensionMismatchError, PolicyGradient, SoftmaxPolicy
@@ -18,10 +20,6 @@ from semicrm.trainers import (
     TrainConfig,
     TrainingDiverged,
     fit_reward_regressor,
-    grad_kl,
-    grad_pseudo_reward,
-    grad_truncated_ips,
-    grad_wce,
     predict_pseudo_rewards,
     train_kl_crm,
     train_pr_crm,
@@ -77,24 +75,27 @@ class TestObjectiveGradients:
         S, _ = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 50))
         batch = S
-        _, grad = grad_truncated_ips(policy, batch, 0.1)
-        check_gradient(policy, lambda p: grad_truncated_ips(p, batch, 0.1)[0], grad)
+        parts = objective_parts("WCE", 1.0, TruncationParams(zeta=0.1), len(batch))
+        _, grad = term_values(policy, batch, parts, gradient=True)
+        check_gradient(policy, lambda p: term_values(p, batch, parts)[0][0], grad)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wce(self, seed):
         _, S_u = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 60))
         batch = S_u
-        _, grad = grad_wce(policy, batch, 0.05)
-        check_gradient(policy, lambda p: grad_wce(p, batch, 0.05)[0], grad)
+        parts = objective_parts("WCE", 0.0, TruncationParams(tau=0.05), 0)
+        _, grad = term_values(policy, batch, parts, gradient=True)
+        check_gradient(policy, lambda p: term_values(p, batch, parts)[0][1], grad)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_kl(self, seed):
         _, S_u = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 70))
         batch = S_u
-        _, grad = grad_kl(policy, batch, 0.05)
-        check_gradient(policy, lambda p: grad_kl(p, batch, 0.05)[0], grad)
+        parts = objective_parts("KL", 0.0, TruncationParams(tau=0.05), 0)
+        _, grad = term_values(policy, batch, parts, gradient=True)
+        check_gradient(policy, lambda p: term_values(p, batch, parts)[0][1], grad)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pseudo_reward(self, seed):
@@ -104,12 +105,14 @@ class TestObjectiveGradients:
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 90))
         known, aug_batch = S, aug
         trunc = TruncationParams(zeta=0.05, tau=0.05)
+        rows = known.concat(aug_batch)
+        parts = objective_parts("WCE", 0.6, trunc, len(known), pooled=True)
 
         def value(p):
-            ips, wce, _ = grad_pseudo_reward(p, known, aug_batch, 0.6, trunc)
+            (ips, wce), _ = term_values(p, rows, parts)
             return 0.6 * ips + 0.4 * wce
 
-        _, _, grad = grad_pseudo_reward(policy, known, aug_batch, 0.6, trunc)
+        _, grad = term_values(policy, rows, parts, gradient=True)
         check_gradient(policy, value, grad)
 
 
@@ -299,8 +302,8 @@ class TestRewardRegressor:
         S = make_log([(rng.standard_normal(3), int(rng.choice(2)),
                        float(rng.uniform(0.1, 1.0)), -1.0) for _ in range(40)], 2)
         reg = fit_reward_regressor(S)
-        for x, a in zip(S.contexts, S.actions):
-            assert reg.predict(x, a) == pytest.approx(-1.0, abs=1e-6)
+        for prediction in reg.predict_batch(S.contexts, S.actions):
+            assert prediction == pytest.approx(-1.0, abs=1e-6)
 
     def test_first_order_optimality(self):
         rng = make_rng(21)

@@ -330,6 +330,8 @@ def read_environment(path) -> DiscreteEnvironment:
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from exc
                 rows = sections[current]
+                if current == "context_probs" and rows:
+                    raise ValueError(f"{where}: context_probs takes one row")
                 width = len(rows[0]) if rows else len(values)
                 if len(values) != width or not all(map(math.isfinite, values)):
                     raise ValueError(f"{where}: expected {width} finite values")

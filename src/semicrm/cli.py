@@ -3,7 +3,8 @@
 Subcommands: generate, train-logging, to-bandit, mask, train, evaluate,
 sweep, bounds.  ``sweep`` reads a flat ``section.key = value`` config file;
 any key can be overridden with a same-named flag, e.g.
-``semicrm sweep -c run.cfg --data.keep_fraction 0.2``.
+``semicrm sweep -c run.cfg --data.keep_fraction 0.2``; ``-o`` is
+``--experiment.output_dir``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .data import (
 )
 from .estimators import TruncationParams
 from .harness import (
+    ExperimentConfig,
     SyntheticSpec,
     evaluate_policy,
     generate_synthetic,
@@ -32,30 +34,6 @@ from .harness import (
 from .policy import SoftmaxPolicy, load_policy, save_policy
 from .rng import derive_seed, make_rng
 from .trainers import TRAINERS as _TRAINERS, TrainConfig
-
-
-def _collect_overrides(unknown: list[str]) -> dict[str, str]:
-    """Turn ['--a.b', '1', '--c.d=x'] into {'a.b': '1', 'c.d': 'x'}."""
-    out: dict[str, str] = {}
-    i = 0
-    while i < len(unknown):
-        tok = unknown[i]
-        if not tok.startswith("--"):
-            raise SystemExit(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            key, value = body.split("=", 1)
-            i += 1
-        else:
-            key = body
-            if i + 1 >= len(unknown):
-                raise SystemExit(f"flag --{key} needs a value")
-            value = unknown[i + 1]
-            i += 2
-        if key not in CONFIG_KEYS:
-            raise SystemExit(f"unknown config key {key!r}")
-        out[key] = value
-    return out
 
 
 def cmd_generate(args):
@@ -125,12 +103,11 @@ def cmd_evaluate(args):
     print(f"accuracy,{acc:.17g}")
 
 
-def cmd_sweep(args, overrides):
+def cmd_sweep(args):
     keys = load_config_file(args.config) if args.config else {}
-    keys.update(overrides)
+    given = vars(args)
+    keys.update({key: given[key] for key in CONFIG_KEYS if given[key] is not None})
     cfg = experiment_config_from_keys(keys)
-    if args.output is not None:
-        cfg.output_dir = args.output
     rows, errors = run_experiment(cfg)
     print(f"{len(rows)} cells completed, {len(errors)} failed")
     for err in errors:
@@ -151,62 +128,76 @@ def cmd_bounds(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig()
+    spec, train = defaults.synthetic, defaults.train
     p = argparse.ArgumentParser(prog="semicrm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic supervised dataset")
+    g.set_defaults(func=cmd_generate)
     g.add_argument("--out", required=True)
     g.add_argument("--rows", type=int, default=8000)
-    g.add_argument("--dim", type=int, default=10)
-    g.add_argument("--classes", type=int, default=5)
-    g.add_argument("--separation", type=float, default=1.5)
-    g.add_argument("--noise", type=float, default=1.0)
+    g.add_argument("--dim", type=int, default=spec.dim)
+    g.add_argument("--classes", type=int, default=spec.num_classes)
+    g.add_argument("--separation", type=float, default=spec.separation)
+    g.add_argument("--noise", type=float, default=spec.noise)
     g.add_argument("--seed", type=int, default=0)
 
     t = sub.add_parser("train-logging", help="fit the logging policy by cross-entropy")
+    t.set_defaults(func=cmd_train_logging)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--fraction", type=float, default=0.05)
+    t.add_argument("--fraction", type=float, default=defaults.logging_fraction)
     t.add_argument("--seed", type=int, default=0)
 
     b = sub.add_parser("to-bandit", help="supervised-to-bandit transformation")
+    b.set_defaults(func=cmd_to_bandit)
     b.add_argument("--data", required=True)
     b.add_argument("--policy", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--seed", type=int, default=0)
 
     m = sub.add_parser("mask", help="hide rewards for a fraction of the log")
+    m.set_defaults(func=cmd_mask)
     m.add_argument("--data", required=True)
     m.add_argument("--out", required=True)
-    m.add_argument("--keep-fraction", type=float, default=0.1)
+    m.add_argument("--keep-fraction", type=float, default=defaults.keep_fraction)
     m.add_argument("--stratify", action="store_true")
     m.add_argument("--seed", type=int, default=0)
 
     tr = sub.add_parser("train", help="train a policy on a logged dataset")
+    tr.set_defaults(func=cmd_train)
     tr.add_argument("--data", required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--algorithm", choices=sorted(_TRAINERS), default="WCE")
     tr.add_argument("--init", default=None, help="initial policy checkpoint")
-    tr.add_argument("--alpha", type=float, default=0.9)
-    tr.add_argument("--zeta", type=float, default=0.001)
-    tr.add_argument("--tau", type=float, default=0.001)
-    tr.add_argument("--epochs", type=int, default=1000,
+    tr.add_argument("--alpha", type=float, default=train.alpha)
+    tr.add_argument("--zeta", type=float, default=train.trunc.zeta)
+    tr.add_argument("--tau", type=float, default=train.trunc.tau)
+    tr.add_argument("--epochs", type=int, default=train.epochs,
                     help="number of minibatch steps (not passes over the data)")
-    tr.add_argument("--batch-known", type=int, default=64)
-    tr.add_argument("--batch-unknown", type=int, default=256)
-    tr.add_argument("--learning-rate", type=float, default=0.01)
+    tr.add_argument("--batch-known", type=int, default=train.batch_known)
+    tr.add_argument("--batch-unknown", type=int, default=train.batch_unknown)
+    tr.add_argument("--learning-rate", type=float, default=train.learning_rate)
     tr.add_argument("--trace", default=None, help="write per-epoch trace CSV here")
     tr.add_argument("--seed", type=int, default=0)
 
     e = sub.add_parser("evaluate", help="expected risk and accuracy on labeled data")
+    e.set_defaults(func=cmd_evaluate)
     e.add_argument("--policy", required=True)
     e.add_argument("--data", required=True)
 
-    s = sub.add_parser("sweep", help="full experiment sweep from a config file")
+    # every config key is a flag; unset flags leave the config file's value
+    s = sub.add_parser("sweep", help="full experiment sweep from a config file",
+                       allow_abbrev=False)
+    s.set_defaults(func=cmd_sweep)
     s.add_argument("-c", "--config", default=None)
-    s.add_argument("-o", "--output", default=None)
+    for key in CONFIG_KEYS:
+        spellings = ("-o", "--output") if key == "experiment.output_dir" else ()
+        s.add_argument(*spellings, f"--{key}", dest=key, metavar="VALUE")
 
     bo = sub.add_parser("bounds", help="evaluate analytic bounds on an environment file")
+    bo.set_defaults(func=cmd_bounds)
     bo.add_argument("--env", required=True)
     bo.add_argument("--out", default=None)
     bo.add_argument("--delta", type=float, default=0.05)
@@ -216,24 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    if args.command == "sweep":
-        overrides = _collect_overrides(unknown)
-        cmd_sweep(args, overrides)
-        return 0
-    if unknown:
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    dispatch = {
-        "generate": cmd_generate,
-        "train-logging": cmd_train_logging,
-        "to-bandit": cmd_to_bandit,
-        "mask": cmd_mask,
-        "train": cmd_train,
-        "evaluate": cmd_evaluate,
-        "bounds": cmd_bounds,
-    }
-    dispatch[args.command](args)
+    args = build_parser().parse_args(argv)
+    args.func(args)
     return 0
 
 

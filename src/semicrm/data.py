@@ -305,5 +305,7 @@ def read_supervised_csv(path) -> SupervisedDataset:
             labels.append(int(fields[d]))
         except ValueError as exc:
             raise DatasetFormatError(lineno, str(exc)) from exc
+        if labels[-1] < 0:
+            raise DatasetFormatError(lineno, f"negative label {labels[-1]}")
         linenos.append(lineno)
     return SupervisedDataset(_finite_features(feats, linenos, d), np.array(labels))

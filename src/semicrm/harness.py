@@ -106,6 +106,10 @@ def evaluate_policy(
         raise ValueError(
             f"policy expects d={policy.input_dim}, test data has d={test.dim}"
         )
+    if len(test) == 0:
+        raise ValueError("no test rows to evaluate on")
+    if test.labels.min() < 0 or test.labels.max() >= policy.action_count:
+        raise ValueError(f"test labels must lie in [0, {policy.action_count})")
     probs = policy.probs_batch(test.features)
     idx = np.arange(len(test))
     expected_risk = -float(np.mean(probs[idx, test.labels]))

@@ -8,7 +8,7 @@ so policies are cheap to copy and bit-exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,9 +131,6 @@ class SoftmaxPolicy:
 
     # ---- distributions -----------------------------------------------------
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0][0]
-
     def probs_batch(self, X: np.ndarray) -> np.ndarray:
         scores, _ = self.forward(X)
         return softmax(scores)
@@ -141,36 +138,6 @@ class SoftmaxPolicy:
     def probs(self, x: np.ndarray) -> np.ndarray:
         """Action probabilities for a single context (positive, sum to 1)."""
         return self.probs_batch(x)[0]
-
-    def log_probs(self, x: np.ndarray) -> np.ndarray:
-        """log pi(.|x) via log-sum-exp, never log of the softmax output."""
-        return log_softmax(self.scores(x))[0]
-
-    def grad_scalar(self, x: np.ndarray, a: int, mode: str = "log_prob") -> PolicyGradient:
-        """Gradient of ``log pi(a|x)`` or ``pi(a|x)`` with respect to parameters."""
-        if not 0 <= a < self.action_count:
-            raise DimensionMismatchError("action index", self.action_count, a)
-        scores, cache = self.forward(x)
-        p = softmax(scores)[0]
-        dlog = -p.copy()
-        dlog[a] += 1.0
-        if mode == "log_prob":
-            dscores = dlog
-        elif mode == "prob":
-            dscores = p[a] * dlog
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        return self.backward(cache, dscores[None, :])
-
-    def sample_action(self, x: np.ndarray, rng: np.random.Generator) -> int:
-        """Inverse-CDF draw from pi(.|x); advances the rng by one uniform."""
-        p = self.probs(x)
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, len(p) - 1))
-
-    def argmax_action(self, x: np.ndarray) -> int:
-        """Lowest index attaining the maximal probability (deterministic ties)."""
-        return int(np.argmax(self.probs(x)))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -181,17 +148,12 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax(scores: np.ndarray, actions: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise log-softmax via log-sum-exp, finite wherever the scores are.
-
-    With ``actions``, only log pi(a_i|x_i) is returned, one value per row,
-    without building a second (N, k) matrix.
-    """
+def log_softmax(scores: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """log pi(a_i|x_i), one value per row, via log-sum-exp: finite wherever the
+    scores are, without building a second (N, k) matrix."""
     scores = np.atleast_2d(scores)
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
-    if actions is None:
-        return shifted - log_norm[:, None]
     return shifted[np.arange(len(actions)), actions] - log_norm
 
 

@@ -318,6 +318,12 @@ class TestEnvironmentFileAndReport:
         with pytest.raises(ValueError, match="line 6"):
             read_environment(self.edited_environment(tmp_path, edit))
 
+    def test_second_context_probs_row_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            lines.insert(2, lines[1])
+        with pytest.raises(ValueError, match="line 3: context_probs takes one row"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
     def test_report_brackets_exact_variance(self):
         env = random_environment(make_rng(12), 3, 3)
         report = bound_report(env, delta=0.05, n=100)

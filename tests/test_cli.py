@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from semicrm.bounds import bound_report, random_environment, write_environment
 from semicrm.cli import main
+from semicrm.config import CONFIG_KEYS
 from semicrm.data import read_bandit_csv, read_supervised_csv
 from semicrm.policy import DimensionMismatchError, SoftmaxPolicy, load_policy, save_policy
 from semicrm.rng import make_rng
@@ -76,6 +80,13 @@ class TestPipeline:
         with pytest.raises(DimensionMismatchError):
             run("train", "--data", log, "--out", tmp_path / "out.policy",
                 "--init", init, "--alpha", 0.5, "--epochs", 2)
+
+    def test_label_outside_policy_actions_rejected(self, tmp_path):
+        sup, pol = tmp_path / "s.csv", tmp_path / "p.pol"
+        sup.write_text("x0,label\n0.5,0\n1.5,4\n")
+        save_policy(SoftmaxPolicy.create(1, 2, (3,), make_rng(0)), pol)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            run("evaluate", "--policy", pol, "--data", sup)
 
     def test_mask_rejects_already_masked_input(self, tmp_path):
         sup, pol = tmp_path / "s.csv", tmp_path / "p.pol"
@@ -159,3 +170,36 @@ class TestSweepCommand:
             "--train.epochs=2")
         capsys.readouterr()
         assert (out / "metrics.csv").exists()
+
+    def test_help_names_every_config_key(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            run("sweep", "--help")
+        assert done.value.code == 0
+        shown = capsys.readouterr().out
+        assert [key for key in CONFIG_KEYS if f"--{key} " not in shown] == []
+
+    def test_output_flag_is_the_output_dir_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(self.CONFIG + f"experiment.output_dir = {tmp_path / 'file'}\n")
+        run("sweep", "-c", cfg_path, "-o", tmp_path / "flag",
+            "--experiment.algorithms", "logging")
+        assert (tmp_path / "flag" / "metrics.csv").exists()
+        assert not (tmp_path / "file").exists()
+        run("sweep", "-c", cfg_path, "--experiment.output_dir", tmp_path / "key",
+            "--experiment.algorithms", "logging")
+        assert (tmp_path / "key" / "metrics.csv").exists()
+        assert not (tmp_path / "file").exists()
+
+    def test_abbreviated_key_rejected(self, capsys):
+        with pytest.raises(SystemExit) as failed:
+            run("sweep", "--data.keep", "0.2")
+        assert failed.value.code != 0
+        assert "--data.keep" in capsys.readouterr().err
+
+    def test_readme_config_table_lists_exactly_the_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        first_cells = [line.split("|")[1] for line in table.splitlines()
+                       if line.startswith("| `")]
+        listed = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(listed) == sorted(CONFIG_KEYS)

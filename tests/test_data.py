@@ -283,6 +283,13 @@ class TestSupervisedCsv:
             read_supervised_csv(path)
         assert err.value.line_number == 4
 
+    def test_negative_label_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "sup.csv"
+        path.write_text("x0,label\n1.0,0\n\n2.0,-1\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_supervised_csv(path)
+        assert err.value.line_number == 4
+
     def test_blank_lines_count_toward_feature_line_numbers(self, tmp_path):
         path = tmp_path / "sup.csv"
         path.write_text("x0,label\n\n1,0\n\nnan,1\n")

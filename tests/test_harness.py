@@ -72,6 +72,25 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError):
             evaluate_policy(uniform_policy(3, 2), test)
 
+    def test_accuracy_counts_the_most_probable_action(self):
+        policy = uniform_policy(3, 3)
+        policy.biases[-1][:] = np.log([0.1, 0.6, 0.3])
+        labels = np.array([1, 0, 1, 2])
+        risk, acc = evaluate_policy(policy, SupervisedDataset(np.zeros((4, 3)), labels))
+        assert acc == 0.5
+        assert risk == pytest.approx(-(0.6 + 0.1 + 0.6 + 0.3) / 4, abs=1e-12)
+
+    def test_empty_test_set_rejected(self):
+        test = SupervisedDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="no test rows"):
+            evaluate_policy(uniform_policy(3, 2), test)
+
+    @pytest.mark.parametrize("label", [-1, 2, 4])
+    def test_label_outside_action_range_rejected(self, label):
+        test = SupervisedDataset(np.zeros((3, 3)), np.array([0, label, 1]))
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            evaluate_policy(uniform_policy(3, 2), test)
+
 
 class TestLoggingPolicy:
     def test_accuracy_on_separable_data(self):
@@ -147,6 +166,12 @@ class TestRunExperiment:
             rows, _ = run_experiment(tiny_config())
             write_metrics_csv(tmp_path / name, rows)
         assert (tmp_path / "x").read_bytes() == (tmp_path / "y").read_bytes()
+
+    def test_no_test_rows_is_an_error(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="no test rows"):
+            run_experiment(tiny_config(test_rows=0, output_dir=str(out)))
+        assert not out.exists()
 
     def test_output_dir_files(self, tmp_path):
         out = tmp_path / "run"

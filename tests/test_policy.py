@@ -8,7 +8,9 @@ from semicrm.policy import (
     PolicyGradient,
     SoftmaxPolicy,
     load_policy,
+    log_softmax,
     save_policy,
+    softmax,
 )
 from semicrm.rng import make_rng
 
@@ -28,6 +30,16 @@ def random_policy(d=3, k=4, hidden=(6, 5), seed=1):
 
 def flatten(grad: PolicyGradient) -> np.ndarray:
     return np.concatenate([a.ravel() for a in grad.weights + grad.biases])
+
+
+def scalar_grad(policy, x, a, mode):
+    """Gradient of log pi(a|x) ("log_prob") or pi(a|x) ("prob"): backward fed
+    the score gradient e_a - pi, or pi_a (e_a - pi)."""
+    scores, cache = policy.forward(x)
+    pi = softmax(scores)
+    dlog = np.eye(policy.action_count)[[a]] - pi
+    dscores = dlog if mode == "log_prob" else pi[0, a] * dlog
+    return flatten(policy.backward(cache, dscores))
 
 
 def perturbed(policy: SoftmaxPolicy, flat_delta: np.ndarray) -> SoftmaxPolicy:
@@ -76,26 +88,18 @@ class TestProbs:
 
     def test_log_probs_match_log_of_probs(self):
         p = random_policy()
-        x = make_rng(3).standard_normal(3)
-        assert np.allclose(p.log_probs(x), np.log(p.probs(x)), atol=1e-12)
+        scores, _ = p.forward(make_rng(3).standard_normal((6, 3)))
+        for a in range(p.action_count):
+            got = log_softmax(scores, np.full(len(scores), a))
+            assert np.allclose(got, np.log(softmax(scores))[:, a], atol=1e-12)
 
 
 class TestGradScalar:
     def test_prob_gradients_sum_to_zero(self):
         p = random_policy()
         x = make_rng(5).standard_normal(3)
-        total = sum(flatten(p.grad_scalar(x, a, mode="prob"))
-                    for a in range(p.action_count))
+        total = sum(scalar_grad(p, x, a, "prob") for a in range(p.action_count))
         assert np.linalg.norm(total) < 1e-12
-
-    def test_log_prob_is_prob_over_pi(self):
-        p = random_policy()
-        x = make_rng(6).standard_normal(3)
-        a = 2
-        pi_a = p.probs(x)[a]
-        g_log = flatten(p.grad_scalar(x, a, mode="log_prob"))
-        g_prob = flatten(p.grad_scalar(x, a, mode="prob"))
-        assert np.allclose(g_prob, pi_a * g_log, atol=1e-12)
 
     @pytest.mark.parametrize("hidden", [(5,), (6, 5), (20, 20)])
     @pytest.mark.parametrize("mode", ["log_prob", "prob"])
@@ -104,7 +108,7 @@ class TestGradScalar:
         rng = make_rng(12)
         x = rng.standard_normal(3)
         a = 1
-        analytic = flatten(p.grad_scalar(x, a, mode=mode))
+        analytic = scalar_grad(p, x, a, mode)
         h = 1e-5
         num = np.zeros_like(analytic)
         for i in range(len(analytic)):
@@ -114,56 +118,11 @@ class TestGradScalar:
             def val(policy):
                 if mode == "prob":
                     return policy.probs(x)[a]
-                return policy.log_probs(x)[a]
+                return np.log(policy.probs(x)[a])
 
             num[i] = (val(perturbed(p, e)) - val(perturbed(p, -e))) / (2 * h)
         scale = max(np.abs(analytic).max(), 1.0)
         assert np.max(np.abs(analytic - num)) / scale < 1e-4
-
-
-class TestSampling:
-    def test_near_deterministic_policy(self):
-        p = zero_policy(k=3)
-        p.biases[-1][:] = np.array([-40.0, 0.0, -40.0])  # pi(a_1) ~ 1
-        rng = make_rng(0)
-        x = np.zeros(3)
-        assert all(p.sample_action(x, rng) == 1 for _ in range(50))
-
-    def test_uniform_frequencies(self):
-        p = zero_policy(k=4)
-        rng = make_rng(123)
-        x = np.ones(3)
-        draws = np.array([p.sample_action(x, rng) for _ in range(100_000)])
-        freqs = np.bincount(draws, minlength=4) / len(draws)
-        assert np.all(np.abs(freqs - 0.25) < 0.01)
-
-    def test_same_seed_same_sequence(self):
-        p = random_policy()
-        x = make_rng(9).standard_normal(3)
-        seq1 = [p.sample_action(x, make_rng(42)) for _ in range(1)]
-        a = make_rng(42)
-        b = make_rng(42)
-        seq_a = [p.sample_action(x, a) for _ in range(200)]
-        seq_b = [p.sample_action(x, b) for _ in range(200)]
-        assert seq_a == seq_b
-
-
-class TestArgmax:
-    def test_picks_max(self):
-        p = zero_policy(k=3)
-        p.biases[-1][:] = np.log([0.1, 0.6, 0.3])
-        assert p.argmax_action(np.zeros(3)) == 1
-
-    def test_tie_breaks_low_index(self):
-        p = zero_policy(k=2)
-        assert p.argmax_action(np.zeros(3)) == 0
-
-    def test_invariant_under_score_shift(self):
-        p = random_policy()
-        x = make_rng(4).standard_normal(3)
-        shifted = p.copy()
-        shifted.biases[-1] += 3.25
-        assert p.argmax_action(x) == shifted.argmax_action(x)
 
 
 class TestCheckpoint:

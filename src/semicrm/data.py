@@ -112,6 +112,12 @@ class DatasetFormatError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
+# rows per stacked forward in supervised_to_bandit: bounds its activations
+# (about 0.4 MB a block at the default widths); its speed is flat from 512
+# to 8192 rows
+TO_BANDIT_BLOCK = 1024
+
+
 def supervised_to_bandit(
     ds: SupervisedDataset,
     logging_policy: SoftmaxPolicy,
@@ -132,14 +138,17 @@ def supervised_to_bandit(
             f"logging policy has {logging_policy.action_count} actions, "
             f"data has {ds.num_classes} classes"
         )
-    actions = np.zeros(len(ds), dtype=int)
-    propensities = np.zeros(len(ds))
-    for i in range(len(ds)):
-        # per-row evaluation so the stored propensity matches probs(x)[a] exactly
-        p = logging_policy.probs(ds.features[i].copy())
-        u = rng.random()
-        a = int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, len(p) - 1))
-        actions[i], propensities[i] = a, p[a]
+    n, k = len(ds), logging_policy.action_count
+    u = rng.random(n)  # the same stream as n calls to rng.random()
+    actions = np.zeros(n, dtype=int)
+    propensities = np.zeros(n)
+    for start in range(0, n, TO_BANDIT_BLOCK):
+        block = slice(start, start + TO_BANDIT_BLOCK)
+        # probs, not probs_batch: each propensity is then probs(x)[a] exactly
+        P = logging_policy.probs(ds.features[block])
+        # inverse CDF: searchsorted(cumsum(p), u, side="right") for every row
+        a = (np.cumsum(P, axis=1) <= u[block, None]).sum(axis=1).clip(0, k - 1)
+        actions[block], propensities[block] = a, P[np.arange(len(a)), a]
     rewards = np.where(actions == ds.labels, -1.0, 0.0)
     return BanditLog(ds.features.copy(), actions, propensities, rewards,
                      logging_policy.action_count)
@@ -194,16 +203,22 @@ def drop_action(
 # rewards must be finite: NaN is how a reward-free row is held in memory.
 
 
-def write_bandit_csv(path, log: BanditLog) -> None:
-    header = ",".join([f"x{i}" for i in range(log.dim)] + ["action", "propensity", "reward"])
-    lines = [header]
-    for x, a, p, r in zip(log.contexts.tolist(), log.actions.tolist(),
-                          log.propensities.tolist(), log.rewards.tolist()):
-        feats = ",".join(f"{v:.17g}" for v in x)
-        reward = "" if math.isnan(r) else f"{r:.17g}"
-        lines.append(f"{feats},{a},{p:.17g},{reward}")
+def _write_csv(path, header: list[str], lines) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
+
+
+def write_bandit_csv(path, log: BanditLog) -> None:
+    # one %-template per row; .tolist() first: Python floats format faster
+    # than numpy scalars
+    rewarded = ",".join(["%.17g"] * log.dim + ["%d", "%.17g", "%.17g"])
+    reward_free = rewarded[:-len("%.17g")]
+    _write_csv(
+        path, [f"x{i}" for i in range(log.dim)] + ["action", "propensity", "reward"],
+        (reward_free % (*x, a, p) if math.isnan(r) else rewarded % (*x, a, p, r)
+         for x, a, p, r in zip(log.contexts.tolist(), log.actions.tolist(),
+                               log.propensities.tolist(), log.rewards.tolist())),
+    )
 
 
 def _read_lines(path):
@@ -284,12 +299,9 @@ def read_bandit_csv(path, validate_reward_range: bool = True) -> tuple[BanditLog
 
 
 def write_supervised_csv(path, ds: SupervisedDataset) -> None:
-    header = ",".join([f"x{i}" for i in range(ds.dim)] + ["label"])
-    lines = [header]
-    for x, y in zip(ds.features, ds.labels):
-        lines.append(",".join(f"{v:.17g}" for v in x) + f",{y}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * ds.dim + ["%d"])
+    _write_csv(path, [f"x{i}" for i in range(ds.dim)] + ["label"],
+               (row % (*x, y) for x, y in zip(ds.features.tolist(), ds.labels.tolist())))
 
 
 def read_supervised_csv(path) -> SupervisedDataset:

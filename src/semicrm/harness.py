@@ -158,6 +158,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {frac}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        unknown = sorted(set(self.algorithms) - set(_TRAINERS) - {"logging"})
+        if unknown:
+            raise ValueError(f"unknown algorithms: {unknown}; expected names from "
+                             f"{sorted(_TRAINERS) + ['logging']}")
+        # the upper end is the logging policy's action count, checked by run_experiment
+        if self.dropped_action is not None and self.dropped_action < 0:
+            raise ValueError(f"dropped_action must be >= 0, got {self.dropped_action}")
 
 
 METRICS_HEADER = "algorithm,alpha,tau,seed,expected_risk,accuracy,runtime_seconds"
@@ -188,6 +195,9 @@ def run_experiment(
     test_ds = full.subset(np.sort(perm[cfg.train_rows: cfg.train_rows + cfg.test_rows]))
 
     logging_policy = train_logging_policy(train_ds, cfg.logging_fraction, cfg.seed)
+    if cfg.dropped_action is not None and cfg.dropped_action >= logging_policy.action_count:
+        raise ValueError(f"dropped_action {cfg.dropped_action} is not an action: "
+                         f"actions lie in [0, {logging_policy.action_count})")
     logging_risk, logging_acc = evaluate_policy(logging_policy, test_ds)
 
     rows: list[MetricsRow] = []

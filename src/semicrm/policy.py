@@ -94,15 +94,16 @@ class SoftmaxPolicy:
 
     def _check_contexts(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.input_dim:
-            raise DimensionMismatchError("context dimension", self.input_dim, X.shape[1])
+        if X.shape[-1] != self.input_dim:
+            raise DimensionMismatchError("context dimension", self.input_dim, X.shape[-1])
         return X
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Scores for a batch of contexts plus the activation cache for backward.
 
         Returns ``(scores, cache)`` where scores has shape (N, k) and cache
-        holds the input and every post-ReLU hidden activation.
+        holds the input and every post-ReLU hidden activation.  A stack of
+        batches (n, N, d) gives (n, N, k) scores, one product per batch.
         """
         X = self._check_contexts(X)
         cache = [X]
@@ -132,12 +133,25 @@ class SoftmaxPolicy:
     # ---- distributions -----------------------------------------------------
 
     def probs_batch(self, X: np.ndarray) -> np.ndarray:
+        """Action probabilities for each row of ``X`` in one (N, d) product.
+
+        A row's last bits can depend on the batch it arrives in; use
+        :meth:`probs` where they must not."""
         scores, _ = self.forward(X)
         return softmax(scores)
 
-    def probs(self, x: np.ndarray) -> np.ndarray:
-        """Action probabilities for a single context (positive, sum to 1)."""
-        return self.probs_batch(x)[0]
+    def probs(self, X: np.ndarray) -> np.ndarray:
+        """Action probabilities (positive, sum to 1) for one context (d,) or for
+        each row of a batch (n, d).
+
+        Each row goes through ``forward`` as its own (1, d) product, stacked as
+        ``X[:, None, :]``, so its probabilities are the same bits whatever batch
+        it arrives in: a propensity stored from a batch equals ``probs(x)[a]``.
+        """
+        X = np.asarray(X, dtype=float)
+        scores, _ = self.forward(X[..., None, :])
+        p = softmax(scores[..., 0, :])
+        return p[0] if X.ndim == 1 else p
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

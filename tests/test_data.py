@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semicrm.data import (
+    TO_BANDIT_BLOCK,
     BanditLog,
     DatasetFormatError,
     SupervisedDataset,
@@ -53,6 +54,17 @@ def random_log(n=40, d=2, k=3, seed=5):
     return make_log(rows, k)
 
 
+def per_row_to_bandit(ds, policy, rng):
+    """The row-at-a-time transform, kept as the reference: per row one (1, d)
+    forward, one ``rng.random()`` and one ``searchsorted`` on the CDF."""
+    actions, propensities = np.zeros(len(ds), dtype=int), np.zeros(len(ds))
+    for i, x in enumerate(ds.features):
+        p = policy.probs_batch(x[None, :])[0]
+        a = int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
+        actions[i], propensities[i] = a, p[a]
+    return actions, propensities
+
+
 class TestSupervisedToBandit:
     def test_concentrated_logging_gives_all_minus_one(self):
         # a scorer that strongly prefers the true label for every row:
@@ -76,8 +88,30 @@ class TestSupervisedToBandit:
         ds = label_concentrated_dataset()
         p = SoftmaxPolicy.create(2, 3, (4,), make_rng(9))
         S = supervised_to_bandit(ds, p, make_rng(4))
-        for x, a, propensity in zip(S.contexts, S.actions, S.propensities):
+        batch = p.probs(S.contexts)
+        assert batch.shape == (len(S), 3)
+        for x, a, propensity, row in zip(S.contexts, S.actions, S.propensities, batch):
+            assert np.array_equal(row, p.probs(x))
             assert propensity == p.probs(x)[a]
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (20, 20)])
+    def test_blocked_transform_equals_the_per_row_loop(self, hidden):
+        # more rows than one block, and not a multiple of it
+        n = 2 * TO_BANDIT_BLOCK + 123
+        ds = label_concentrated_dataset(n=n, d=10, k=5, seed=11)
+        policy = SoftmaxPolicy.create(10, 5, hidden, make_rng(12))
+        rng, reference_rng = make_rng(13), make_rng(13)
+        S = supervised_to_bandit(ds, policy, rng)
+        actions, propensities = per_row_to_bandit(ds, policy, reference_rng)
+        assert np.array_equal(S.actions, actions)
+        assert np.array_equal(S.propensities, propensities)
+        # the transform consumed exactly n rng.random() draws
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_empty_dataset_gives_empty_log(self):
+        ds = SupervisedDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        S = supervised_to_bandit(ds, uniform_policy(2, 3), make_rng(0))
+        assert len(S) == 0 and S.action_count == 3
 
     def test_action_count_comes_from_the_logging_policy(self):
         ds = SupervisedDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))

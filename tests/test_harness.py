@@ -187,6 +187,13 @@ class TestRunExperiment:
         assert errors == []
         assert len(rows) == 6
 
+    def test_dropped_action_outside_the_action_space_rejected(self, tmp_path):
+        # 2 classes: action 2 does not exist, so no row could be dropped
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"dropped_action 2 .*\[0, 2\)"):
+            run_experiment(tiny_config(dropped_action=2, output_dir=str(out)))
+        assert not out.exists()
+
     def test_pr_with_highest_action_dropped(self):
         # the reward regressor must size its one-hot block by the policy's
         # action count, not by the largest action seen among rewarded rows
@@ -304,6 +311,16 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             experiment_config_from_keys({"data.bogus": "1"})
+
+    def test_unknown_algorithm_rejected_when_built(self):
+        with pytest.raises(ValueError, match=r"unknown algorithms: \['FOO'\]"):
+            experiment_config_from_keys({"experiment.algorithms": "WCE,FOO"})
+        with pytest.raises(ValueError, match="unknown algorithms"):
+            ExperimentConfig(algorithms=("wce",))
+
+    def test_negative_dropped_action_rejected_when_built(self):
+        with pytest.raises(ValueError, match="dropped_action must be >= 0, got -1"):
+            experiment_config_from_keys({"experiment.dropped_action": "-1"})
 
     def test_defaults_round_trip(self):
         cfg = experiment_config_from_keys({})

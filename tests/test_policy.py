@@ -73,8 +73,9 @@ class TestProbs:
         assert np.allclose(p.probs(x), shifted.probs(x), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            random_policy(d=3).probs(np.zeros(5))
+        for contexts in (np.zeros(5), np.zeros((4, 5))):
+            with pytest.raises(DimensionMismatchError):
+                random_policy(d=3).probs(contexts)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))

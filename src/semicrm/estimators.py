@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BanditLog
-from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax
+from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax_and_log_softmax
 
 
 @dataclass(frozen=True)
@@ -110,21 +110,28 @@ def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts,
     with ``gradient``, the gradient of sum_j scale_j * value_j (else None): a
     factor f moves the scores of its row by f (e_a - pi(.|x)), so only the
     gradient needs the full softmax and the backward pass."""
-    if not len(rows):
+    return column_term_values(policy, rows.contexts, rows.actions, rows.propensities,
+                              rows.rewards, parts, gradient)
+
+
+def column_term_values(policy, contexts, actions, propensities, rewards, parts, gradient=False):
+    """:func:`term_values` over the four columns of a log, gathered by the caller."""
+    if not len(actions):
         raise ValueError("empty log")
-    scores, cache = policy.forward(rows.contexts)
-    log_pi = log_softmax(scores, rows.actions)
-    factors = np.zeros(len(rows))
+    scores, cache = policy.forward(contexts)
+    pi, log_pi = (softmax_and_log_softmax(scores, actions) if gradient
+                  else (None, log_softmax(scores, actions)))
+    factors = np.zeros(len(actions))
     values = []
     for term, part, scale, floor in parts:
-        value, factor = ROW_TERMS[term](log_pi[part], rows.actions[part],
-                                        rows.propensities[part], rows.rewards[part], floor)
+        value, factor = ROW_TERMS[term](log_pi[part], actions[part],
+                                        propensities[part], rewards[part], floor)
         factors[part] += scale * factor
         values.append(float(np.sum(value)))
     if not gradient:
         return values, None
-    dscores = -factors[:, None] * softmax(scores)
-    dscores[np.arange(len(rows)), rows.actions] += factors
+    dscores = -factors[:, None] * pi
+    dscores[np.arange(len(actions)), actions] += factors
     return values, policy.backward(cache, dscores)
 
 

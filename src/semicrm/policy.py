@@ -2,13 +2,14 @@
 
 The policy is a fully connected network ``d -> hidden ... -> k`` whose
 output scores feed a softmax; no autodiff framework is used, gradients are
-accumulated by hand through the scorer.  Parameters are plain numpy arrays
-so policies are cheap to copy and bit-exactly reproducible.
+accumulated by hand through the scorer.  ``weights`` and ``biases`` are views
+of one float64 vector ``flat``, as are a gradient's, so policies are cheap to
+copy and update and bit-exactly reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -22,32 +23,34 @@ class DimensionMismatchError(ValueError):
         super().__init__(f"{what}: expected {expected}, got {actual}")
 
 
-@dataclass
-class PolicyGradient:
+class _FlatParams:
+    """``weights`` and then ``biases`` as reshaped views of one float64 vector ``flat``."""
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        self._view(np.concatenate([a.ravel() for a in arrays]), arrays, len(weights))
+
+    def _view(self, flat: np.ndarray, like: list[np.ndarray], n_weights: int) -> None:
+        self.flat, views, stop = flat, [], 0
+        for a in like:
+            views.append(flat[stop:stop + a.size].reshape(a.shape))
+            stop += a.size
+        self.weights, self.biases = views[:n_weights], views[n_weights:]
+
+
+class PolicyGradient(_FlatParams):
     """Per-parameter gradient arrays, shape-congruent with a policy."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
     def norm(self) -> float:
-        total = 0.0
-        for w in self.weights:
-            total += float(np.sum(w * w))
-        for b in self.biases:
-            total += float(np.sum(b * b))
-        return float(np.sqrt(total))
+        return float(np.sqrt(self.flat @ self.flat))
 
 
-@dataclass
-class SoftmaxPolicy:
+class SoftmaxPolicy(_FlatParams):
     """Conditional distribution over ``k`` actions given a context vector.
 
     ``weights[i]`` has shape (fan_in, fan_out); hidden layers use ReLU and
     the final layer emits one score per action.
     """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
 
     @property
     def input_dim(self) -> int:
@@ -80,23 +83,13 @@ class SoftmaxPolicy:
         return SoftmaxPolicy(weights, biases)
 
     def copy(self) -> "SoftmaxPolicy":
-        return SoftmaxPolicy([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
+        return SoftmaxPolicy(self.weights, self.biases)
 
     def apply_update(self, grad: PolicyGradient, step: float) -> None:
         """In-place ``theta -= step * grad``."""
-        for w, gw in zip(self.weights, grad.weights):
-            w -= step * gw
-        for b, gb in zip(self.biases, grad.biases):
-            b -= step * gb
+        self.flat -= step * grad.flat
 
     # ---- forward / backward ------------------------------------------------
-
-    def _check_contexts(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[-1] != self.input_dim:
-            raise DimensionMismatchError("context dimension", self.input_dim, X.shape[-1])
-        return X
 
     def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Scores for a batch of contexts plus the activation cache for backward.
@@ -105,9 +98,10 @@ class SoftmaxPolicy:
         holds the input and every post-ReLU hidden activation.  A stack of
         batches (n, N, d) gives (n, N, k) scores, one product per batch.
         """
-        X = self._check_contexts(X)
-        cache = [X]
-        h = X
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[-1] != self.input_dim:
+            raise DimensionMismatchError("context dimension", self.input_dim, X.shape[-1])
+        h, cache = X, [X]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.maximum(h @ w + b, 0.0)
             cache.append(h)
@@ -120,15 +114,15 @@ class SoftmaxPolicy:
         ``dscores`` is dL/dscores with shape (N, k); the reduction over the
         batch is a single matrix product, so summation order is fixed.
         """
-        grads_w: list[np.ndarray] = [None] * len(self.weights)  # type: ignore
-        grads_b: list[np.ndarray] = [None] * len(self.biases)  # type: ignore
+        grad = PolicyGradient.__new__(PolicyGradient)
+        grad._view(np.empty_like(self.flat), self.weights + self.biases, len(self.weights))
         delta = dscores
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = cache[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(cache[layer].T, delta, out=grad.weights[layer])
+            delta.sum(axis=0, out=grad.biases[layer])
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (cache[layer] > 0.0)
-        return PolicyGradient(grads_w, grads_b)
+        return grad
 
     # ---- distributions -----------------------------------------------------
 
@@ -137,8 +131,7 @@ class SoftmaxPolicy:
 
         A row's last bits can depend on the batch it arrives in; use
         :meth:`probs` where they must not."""
-        scores, _ = self.forward(X)
-        return softmax(scores)
+        return softmax(self.forward(X)[0])
 
     def probs(self, X: np.ndarray) -> np.ndarray:
         """Action probabilities (positive, sum to 1) for one context (d,) or for
@@ -169,6 +162,15 @@ def log_softmax(scores: np.ndarray, actions: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     return shifted[np.arange(len(actions)), actions] - log_norm
+
+
+def softmax_and_log_softmax(scores: np.ndarray, actions: np.ndarray):
+    """``softmax(scores)`` and ``log_softmax(scores, actions)``, the same bits, from one
+    exp; the row max, folded over the k columns, skips numpy's loop over short rows."""
+    shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
+    e = np.exp(shifted)
+    norm = e.sum(axis=1)
+    return e / norm[:, None], shifted[np.arange(len(actions)), actions] - np.log(norm)
 
 
 # ---- checkpoint format -----------------------------------------------------

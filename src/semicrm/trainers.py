@@ -3,11 +3,11 @@
 Every objective is alpha times the truncated IPS term plus (1 - alpha) times a
 regularizer term, laid out over a minibatch of known rows followed by unknown
 rows by :func:`semicrm.estimators.objective_parts`; one call to
-:func:`semicrm.estimators.term_values` gives its value and gradient.  WCE-CRM
-and KL-CRM put the IPS term on the known rows and the regularizer on the
-unknown rows; PR-CRM puts the IPS and WCE terms on all rows, the unknown ones
-carrying pseudo-rewards.  :data:`TRAINERS` maps each algorithm name to its
-trainer.
+:func:`semicrm.estimators.column_term_values` on the gathered minibatch gives
+its value and gradient.  WCE-CRM and KL-CRM put the IPS term on the known rows
+and the regularizer on the unknown rows; PR-CRM puts the IPS and WCE terms on
+all rows, the unknown ones carrying pseudo-rewards.  :data:`TRAINERS` maps
+each algorithm name to its trainer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BanditLog
-from .estimators import TruncationParams, objective_parts, term_values
+from .estimators import TruncationParams, column_term_values, objective_parts
 from .policy import DimensionMismatchError, SoftmaxPolicy
 from .rng import make_rng
 
@@ -79,12 +79,12 @@ class TrainTrace:
 
 
 def _sample_indices(rng: np.random.Generator, size: int, batch: int) -> np.ndarray:
-    """Without-replacement draw, returned sorted so reduction order is canonical."""
+    """Without-replacement draw in O(batch), sorted so reduction order is canonical."""
     if batch > size:
         raise ValueError(f"batch size {batch} exceeds dataset size {size}")
     if batch == size:
         return np.arange(size)
-    return np.sort(rng.permutation(size)[:batch])
+    return np.sort(rng.choice(size, batch, replace=False, shuffle=False))
 
 
 def _descend(
@@ -110,6 +110,7 @@ def _descend(
         raise DimensionMismatchError("initial policy action count",
                                      S.action_count, init.action_count)
     rows = S.concat(S_u)
+    columns = (rows.contexts, rows.actions, rows.propensities, rows.rewards)
     n_known, n_unknown = len(S), len(S_u)
     batch_known = min(cfg.batch_known, n_known)
     batch_unknown = min(cfg.batch_unknown, n_unknown)
@@ -122,15 +123,15 @@ def _descend(
         idx_known = _sample_indices(rng, n_known, batch_known)
         idx_unknown = _sample_indices(rng, n_unknown, batch_unknown)
         idx = np.concatenate([idx_known, n_known + idx_unknown])
-        (ips_value, reg_value), grad = term_values(policy, rows.take(idx), parts,
-                                                    gradient=True)
+        (ips_value, reg_value), grad = column_term_values(
+            policy, *(column.take(idx, axis=0) for column in columns), parts, gradient=True)
         grad_norm = grad.norm()
         if not all(map(math.isfinite, (ips_value, reg_value, grad_norm))):
             raise TrainingDiverged(step, f"ips_term={ips_value}, reg_term={reg_value}, "
                                          f"grad_norm={grad_norm}")
         policy.apply_update(grad, cfg.learning_rate)
         trace.append(step, ips_value, reg_value, grad_norm, time.perf_counter() - start)
-    if not all(np.all(np.isfinite(a)) for a in policy.weights + policy.biases):
+    if not np.all(np.isfinite(policy.flat)):
         raise TrainingDiverged(cfg.epochs - 1, "the update left non-finite parameters")
     return policy, trace
 

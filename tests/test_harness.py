@@ -207,19 +207,23 @@ class TestRunExperiment:
         assert len(rows) == 1 and np.isfinite(rows[0].expected_risk)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("algorithms, learning_rate", [
-        (("PR",), 1e8), (("WCE", "KL", "PR"), 1e200),
+    @pytest.mark.parametrize("algorithms, learning_rate, batch", [
+        # batches of all 600 rows draw no minibatch, so whether the cell
+        # diverges does not depend on the sampler's random stream
+        pytest.param(("WCE",), 1e8, 600, id="WCE-1e8-full-batch"),
+        pytest.param(("WCE", "KL", "PR"), 1e200, None, id="all-1e200"),
     ])
-    def test_divergence_is_a_cell_error(self, tmp_path, algorithms, learning_rate):
+    def test_divergence_is_a_cell_error(self, tmp_path, algorithms, learning_rate, batch):
         # a diverged cell goes to errors.txt, not into metrics.csv as NaN
         from semicrm.estimators import TruncationParams
         from semicrm.trainers import TrainConfig
 
+        batches = {} if batch is None else dict(batch_known=batch, batch_unknown=batch)
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(dim=4, num_classes=3), train_rows=600,
             test_rows=200, algorithms=algorithms, alphas=(0.5,), repetitions=1,
             train=TrainConfig(trunc=TruncationParams(0.001, 0.001), epochs=50,
-                              learning_rate=learning_rate),
+                              learning_rate=learning_rate, **batches),
             output_dir=str(tmp_path),
         )
         rows, errors = run_experiment(cfg)

@@ -126,7 +126,82 @@ class TestGradScalar:
         assert np.max(np.abs(analytic - num)) / scale < 1e-4
 
 
+class TestFlatParameters:
+    def test_weights_and_biases_are_views_of_one_vector(self):
+        p = random_policy(hidden=(6, 5))
+        arrays = p.weights + p.biases
+        assert p.flat.dtype == np.float64 and p.flat.shape == (sum(a.size for a in arrays),)
+        assert all(np.shares_memory(a, p.flat) for a in arrays)
+        assert np.array_equal(p.flat, np.concatenate([a.ravel() for a in arrays]))
+        p.biases[-1][-1] = 7.0
+        assert p.flat[-1] == 7.0
+
+    def test_constructor_copies_its_arrays(self):
+        w, b = np.ones((2, 3)), np.zeros(3)
+        p = SoftmaxPolicy([w], [b])
+        p.flat[:] = 5.0
+        assert np.all(w == 1.0) and np.all(b == 0.0)
+
+    def test_copy_does_not_alias(self):
+        p = random_policy()
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        assert all(np.shares_memory(a, q.flat) for a in q.weights + q.biases)
+        assert np.array_equal(p.flat, q.flat)
+        for a in q.weights + q.biases:
+            a += 1.0
+        assert np.array_equal(p.flat + 1.0, q.flat)
+
+    def test_apply_update_moves_every_layer(self):
+        p = random_policy(hidden=(6, 5))
+        before = [a.copy() for a in p.weights + p.biases]
+        grad = PolicyGradient([np.full(w.shape, i + 1.0) for i, w in enumerate(p.weights)],
+                              [np.full(b.shape, -(i + 1.0)) for i, b in enumerate(p.biases)])
+        p.apply_update(grad, 0.5)
+        for after, old, g in zip(p.weights + p.biases, before, grad.weights + grad.biases):
+            assert np.array_equal(after, old - 0.5 * g)
+        assert all(np.shares_memory(a, p.flat) for a in p.weights + p.biases)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_norm_is_the_root_sum_of_squares(self, seed):
+        rng = make_rng(seed)
+        weights = [rng.standard_normal((4, 6)) * 1e3, rng.standard_normal((6, 3))]
+        biases = [rng.standard_normal(6) * 1e-3, rng.standard_normal(3)]
+        expected = np.sqrt(sum(float(np.sum(a * a)) for a in weights + biases))
+        assert PolicyGradient(weights, biases).norm() == pytest.approx(expected, rel=1e-15)
+
+    def test_backward_fills_a_gradient_of_the_same_layout(self):
+        p = random_policy(hidden=(6, 5))
+        scores, cache = p.forward(make_rng(4).standard_normal((7, 3)))
+        grad = p.backward(cache, scores)
+        assert grad.flat.shape == p.flat.shape
+        for g, a in zip(grad.weights + grad.biases, p.weights + p.biases):
+            assert g.shape == a.shape and np.shares_memory(g, grad.flat)
+        assert np.array_equal(grad.weights[-1], cache[-1].T @ scores)
+        assert np.array_equal(grad.biases[-1], scores.sum(axis=0))
+
+
+# save_policy output for GOLDEN_POLICY, written before parameters moved into
+# one flat vector: the checkpoint format must not change with the layout.
+GOLDEN_POLICY = dict(
+    weights=[np.array([[0.1, -2.5], [1 / 3, 1e-300]]),
+             np.array([[7.0, -0.0, 2 ** 0.5], [-1e20, 0.25, 123456789.123]])],
+    biases=[np.array([0.0, -1.5]), np.array([1e-7, 3.0, -2 / 3])],
+)
+GOLDEN_CHECKPOINT = (
+    b"semicrm-policy v1\ndims 2 2 3\nW0\n0.10000000000000001 -2.5\n"
+    b"0.33333333333333331 1e-300\nb0\n0 -1.5\nW1\n7 -0 1.4142135623730951\n"
+    b"-1e+20 0.25 123456789.123\nb1\n9.9999999999999995e-08 3 -0.66666666666666663\n"
+)
+
+
 class TestCheckpoint:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "golden.policy"
+        save_policy(SoftmaxPolicy(**GOLDEN_POLICY), path)
+        assert path.read_bytes() == GOLDEN_CHECKPOINT
+        assert np.array_equal(load_policy(path).flat, SoftmaxPolicy(**GOLDEN_POLICY).flat)
+
     def test_round_trip(self, tmp_path):
         p = random_policy(hidden=(7, 5), seed=21)
         path = tmp_path / "policy.txt"

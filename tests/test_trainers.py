@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import make_log, sample_unknown
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicrm.bounds import random_environment
 from semicrm.data import supervised_to_bandit
@@ -19,6 +21,7 @@ from semicrm.rng import make_rng
 from semicrm.trainers import (
     TrainConfig,
     TrainingDiverged,
+    _sample_indices,
     fit_reward_regressor,
     predict_pseudo_rewards,
     train_kl_crm,
@@ -114,6 +117,51 @@ class TestObjectiveGradients:
 
         _, grad = term_values(policy, rows, parts, gradient=True)
         check_gradient(policy, value, grad)
+
+
+    @pytest.mark.parametrize("missing", [1, 3])
+    @pytest.mark.parametrize("regularizer", ["WCE", "KL"])
+    def test_action_with_no_row_in_the_batch(self, regularizer, missing):
+        # action `missing` of four has no row, so its group count m_[a] is 0
+        rng = make_rng(110 + missing)
+        taken = [a for a in range(4) if a != missing]
+        rows = make_log([
+            (rng.standard_normal(3), int(rng.choice(taken)), float(rng.uniform(0.05, 1.0)),
+             float(rng.uniform(-1.0, 0.0)) if i < 8 else np.nan)
+            for i in range(20)
+        ], 4)
+        policy = SoftmaxPolicy.create(3, 4, (5,), make_rng(120))
+        parts = objective_parts(regularizer, 0.6, TruncationParams(zeta=0.05, tau=0.05), 8)
+        values, grad = term_values(policy, rows, parts, gradient=True)
+        assert all(map(math.isfinite, values)) and np.all(np.isfinite(grad.flat))
+
+        def value(p):
+            ips, reg = term_values(p, rows, parts)[0]
+            return 0.6 * ips + 0.4 * reg
+
+        check_gradient(policy, value, grad)
+
+
+class TestSampleIndices:
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(0, 100_000), data=st.data())
+    def test_distinct_sorted_rows(self, size, data):
+        batch = data.draw(st.integers(0, size), label="batch")
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        state = rng.bit_generator.state
+        idx = _sample_indices(rng, size, batch)
+        assert idx.shape == (batch,) and idx.dtype.kind == "i"
+        assert np.all(np.diff(idx) > 0)
+        assert batch == 0 or (idx[0] >= 0 and idx[-1] < size)
+        if batch == size:
+            assert np.array_equal(idx, np.arange(size))
+            assert rng.bit_generator.state == state
+
+    @given(size=st.integers(0, 1000), excess=st.integers(1, 1000))
+    def test_batch_larger_than_the_rows_rejected(self, size, excess):
+        with pytest.raises(ValueError,
+                           match=f"^batch size {size + excess} exceeds dataset size {size}$"):
+            _sample_indices(make_rng(0), size, size + excess)
 
 
 class TestValuesAndGradientsShareOneDefinition:

@@ -11,6 +11,7 @@ from semicrm.policy import (
     log_softmax,
     save_policy,
     softmax,
+    softmax_and_log_softmax,
 )
 from semicrm.rng import make_rng
 
@@ -93,6 +94,18 @@ class TestProbs:
         for a in range(p.action_count):
             got = log_softmax(scores, np.full(len(scores), a))
             assert np.allclose(got, np.log(softmax(scores))[:, a], atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -800.0]) | st.floats(-40.0, 40.0),
+                          min_size=k, max_size=k), min_size=1, max_size=8),
+        st.lists(st.integers(0, k - 1), min_size=8, max_size=8))))
+    def test_one_exp_path_matches_softmax_and_log_softmax_bit_for_bit(self, case):
+        rows, actions = case
+        scores, actions = np.array(rows), np.array(actions[:len(rows)])
+        pi, log_pi = softmax_and_log_softmax(scores, actions)
+        assert pi.tobytes() == softmax(scores).tobytes()
+        assert log_pi.tobytes() == log_softmax(scores, actions).tobytes()
 
 
 class TestGradScalar:
@@ -181,8 +194,8 @@ class TestFlatParameters:
         assert np.array_equal(grad.biases[-1], scores.sum(axis=0))
 
 
-# save_policy output for GOLDEN_POLICY, written before parameters moved into
-# one flat vector: the checkpoint format must not change with the layout.
+# save_policy output for GOLDEN_POLICY, captured when each parameter array was
+# stored on its own: the checkpoint format must not depend on the layout.
 GOLDEN_POLICY = dict(
     weights=[np.array([[0.1, -2.5], [1 / 3, 1e-300]]),
              np.array([[7.0, -0.0, 2 ** 0.5], [-1e20, 0.25, 123456789.123]])],

@@ -88,6 +88,7 @@ def _rkl_rows(log_pi, actions, propensities, rewards, _floor):
 
 ROW_TERMS = {"IPS": _ips_rows, "WCE": _wce_rows, "KL": _kl_rows, "RKL": _rkl_rows}
 REGULARIZERS = ("KL", "RKL", "WCE")
+VALUE_BLOCK = 16_384  # most rows per forward pass of a value-only evaluation
 
 
 def objective_parts(regularizer: str, alpha: float, trunc: TruncationParams,
@@ -118,9 +119,13 @@ def column_term_values(policy, contexts, actions, propensities, rewards, parts, 
     """:func:`term_values` over the four columns of a log, gathered by the caller."""
     if not len(actions):
         raise ValueError("empty log")
-    scores, cache = policy.forward(contexts)
-    pi, log_pi = (softmax_and_log_softmax(scores, actions) if gradient
-                  else (None, log_softmax(scores, actions)))
+    if gradient:
+        scores, cache = policy.forward(contexts)
+        pi, log_pi = softmax_and_log_softmax(scores, actions)
+    else:  # in blocks of rows, so that the memory it takes does not grow with the log
+        blocks = np.array_split(np.arange(len(actions)), -(-len(actions) // VALUE_BLOCK))
+        log_pi = np.concatenate([log_softmax(policy.forward(contexts[b])[0], actions[b])
+                                 for b in blocks])
     factors = np.zeros(len(actions))
     values = []
     for term, part, scale, floor in parts:

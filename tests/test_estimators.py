@@ -11,6 +11,7 @@ from conftest import (
     uniform_policy,
 )
 
+from semicrm import estimators
 from semicrm.bounds import (
     exact_divergences,
     exact_true_risk,
@@ -336,3 +337,20 @@ class TestTermValues:
                 objective_parts("WCE", alpha, trunc, len(S))
         with pytest.raises(ValueError, match="regularizer"):
             objective_parts("CHI2", 0.5, trunc, len(S))
+
+    def test_value_path_runs_in_row_blocks(self, monkeypatch):
+        # 70 rows in blocks of at most 7, one straddling the known/unknown boundary
+        rng = make_rng(33)
+        S = make_log([(rng.standard_normal(2), int(rng.choice(3)),
+                       float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
+                      for _ in range(40)], 3)
+        rows = S.concat(random_unknowns(n=30, seed=34))
+        policy = SoftmaxPolicy.create(2, 3, (5,), rng)
+        parts = objective_parts("WCE", 0.6, TruncationParams(zeta=0.05, tau=0.05), len(S))
+        whole, _ = term_values(policy, rows, parts, gradient=True)
+        forward, seen = policy.forward, []
+        monkeypatch.setattr(policy, "forward", lambda X: seen.append(len(X)) or forward(X))
+        monkeypatch.setattr(estimators, "VALUE_BLOCK", 7)
+        values, _ = term_values(policy, rows, parts)
+        assert max(seen) <= 7 and sum(seen) == len(rows)
+        assert values == pytest.approx(whole, rel=1e-12)

@@ -13,11 +13,11 @@ from semicrm import (
     SyntheticSpec,
     TrainConfig,
     TruncationParams,
-    derive_seed,
     evaluate_policy,
     generate_synthetic,
     make_rng,
     mask_rewards,
+    stage_rng,
     supervised_to_bandit,
     train_kl_crm,
     train_logging_policy,
@@ -42,8 +42,7 @@ print(f"training data: {len(S)} rewarded rows, {len(S_u)} reward-free rows\n")
 
 base = TrainConfig(alpha=0.9, trunc=TruncationParams(zeta=0.001, tau=0.001),
                    epochs=2000, learning_rate=0.02, seed=3)
-init = SoftmaxPolicy.create(train_ds.dim, train_ds.num_classes, (20, 20),
-                            make_rng(derive_seed(3, "init")))
+init = SoftmaxPolicy.create(train_ds.dim, train_ds.num_classes, rng=stage_rng(3, "init"))
 
 print(f"{'variant':>8} {'alpha':>6} {'risk':>8} {'accuracy':>9}")
 for name, trainer in (("WCE", train_wce_crm), ("KL", train_kl_crm),

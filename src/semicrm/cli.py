@@ -32,7 +32,7 @@ from .harness import (
     train_logging_policy,
 )
 from .policy import SoftmaxPolicy, load_policy, save_policy
-from .rng import derive_seed, make_rng
+from .rng import stage_rng
 from .trainers import TRAINERS as _TRAINERS, TrainConfig
 
 
@@ -55,8 +55,7 @@ def cmd_train_logging(args):
 def cmd_to_bandit(args):
     ds = read_supervised_csv(args.data)
     policy = load_policy(args.policy)
-    rng = make_rng(derive_seed(args.seed, "bandit"))
-    S = supervised_to_bandit(ds, policy, rng)
+    S = supervised_to_bandit(ds, policy, stage_rng(args.seed, "bandit"))
     write_bandit_csv(args.out, S)
     print(f"wrote {len(S)} logged samples to {args.out}")
 
@@ -65,8 +64,7 @@ def cmd_mask(args):
     known, unknown = read_bandit_csv(args.data)
     if len(unknown):
         raise SystemExit("input already contains unknown-reward rows")
-    rng = make_rng(derive_seed(args.seed, "mask"))
-    S, S_u = mask_rewards(known, args.keep_fraction, rng,
+    S, S_u = mask_rewards(known, args.keep_fraction, stage_rng(args.seed, "mask"),
                           stratify_by_action=args.stratify)
     write_bandit_csv(args.out, S.concat(S_u))
     print(f"kept {len(S)} known / masked {len(S_u)} unknown rows into {args.out}")
@@ -78,7 +76,7 @@ def cmd_train(args):
         init = load_policy(args.init)
     else:
         init = SoftmaxPolicy.create(S.dim, S.action_count,
-                                    rng=make_rng(derive_seed(args.seed, "init")))
+                                    rng=stage_rng(args.seed, "init"))
     cfg = TrainConfig(
         alpha=args.alpha,
         trunc=TruncationParams(zeta=args.zeta, tau=args.tau),

@@ -183,16 +183,12 @@ def mask_rewards(
     return S.take(keep_mask), S.take(~keep_mask).with_rewards(np.nan)
 
 
-def drop_action(
-    S_known: BanditLog,
-    S_unknown: BanditLog,
-    action: int,
-) -> tuple[BanditLog, BanditLog]:
-    """Remove every rewarded row with the given action; reward-free rows untouched.
+def drop_action(S: BanditLog, action: int) -> BanditLog:
+    """The rows of ``S`` without the given action.
 
     The action count is kept, so the dropped action stays in the action space.
     """
-    return S_known.take(S_known.actions != action), S_unknown
+    return S.take(S.actions != action)
 
 
 # ---- CSV format ------------------------------------------------------------
@@ -251,13 +247,12 @@ def _finite_features(feats: array, linenos: array, d: int) -> np.ndarray:
     return features
 
 
-def read_bandit_csv(path, validate_reward_range: bool = True) -> tuple[BanditLog, BanditLog]:
+def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     """Parse a logged dataset into its rewarded rows S and reward-free rows S_u.
 
-    A row with an empty reward field is reward-free.  The format does not
-    record the action count, so both parts take 1 + the largest action in the
-    file.  Set ``validate_reward_range=False`` to accept finite rewards outside
-    [-1, 0] (general [c, b] data for the bounds module).
+    A row with an empty reward field is reward-free; a reward must lie in
+    [-1, 0].  The format does not record the action count, so both parts take
+    1 + the largest action in the file.
     """
     lines = _read_lines(path)
     d = _header(lines, ["action", "propensity", "reward"])
@@ -284,9 +279,7 @@ def read_bandit_csv(path, validate_reward_range: bool = True) -> tuple[BanditLog
                 reward = float(fields[d + 2])
             except ValueError as exc:
                 raise DatasetFormatError(lineno, str(exc)) from exc
-            if not math.isfinite(reward):
-                raise DatasetFormatError(lineno, f"reward must be finite, got {reward}")
-            if validate_reward_range and not -1.0 <= reward <= 0.0:
+            if not -1.0 <= reward <= 0.0:  # also rejects nan and inf
                 raise DatasetFormatError(lineno, f"reward must be in [-1, 0], got {reward}")
         actions.append(action)
         propensities.append(propensity)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BanditLog
-from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax_and_log_softmax
+from .policy import PolicyGradient, SoftmaxPolicy, softmax_and_log_softmax
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ def column_term_values(policy, contexts, actions, propensities, rewards, parts, 
         pi, log_pi = softmax_and_log_softmax(scores, actions)
     else:  # in blocks of rows, so that the memory it takes does not grow with the log
         blocks = np.array_split(np.arange(len(actions)), -(-len(actions) // VALUE_BLOCK))
-        log_pi = np.concatenate([log_softmax(policy.forward(contexts[b])[0], actions[b])
-                                 for b in blocks])
+        log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(contexts[b])[0],
+                                                         actions[b])[1] for b in blocks])
     factors = np.zeros(len(actions))
     values = []
     for term, part, scale, floor in parts:

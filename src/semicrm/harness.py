@@ -6,6 +6,7 @@ with :func:`semicrm.rng.derive_seed` so any stage can be reproduced alone.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -15,11 +16,12 @@ from .data import (
     SupervisedDataset,
     drop_action,
     mask_rewards,
+    read_supervised_csv,
     supervised_to_bandit,
 )
 from .estimators import TruncationParams
 from .policy import SoftmaxPolicy, softmax
-from .rng import derive_seed, make_rng
+from .rng import derive_seed, stage_rng
 from .trainers import TRAINERS as _TRAINERS, TrainConfig
 
 
@@ -35,37 +37,25 @@ class SyntheticSpec:
     num_classes: int = 5
     separation: float = 1.5
     noise: float = 1.0
-    class_props: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.dim <= 0 or self.num_classes <= 0:
             raise ValueError("dim and num_classes must be positive")
         if self.noise < 0 or self.separation < 0:
             raise ValueError("separation and noise must be nonnegative")
-        if self.class_props is not None:
-            props = np.asarray(self.class_props, dtype=float)
-            if len(props) != self.num_classes or np.any(props < 0):
-                raise ValueError("class_props must be nonnegative, one per class")
-            if abs(props.sum() - 1.0) > 1e-9:
-                raise ValueError("class_props must sum to 1")
 
 
 def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> SupervisedDataset:
     """Sample n labeled rows; identical (spec, n, seed) gives identical data."""
-    rng = make_rng(derive_seed(seed, "synthetic"))
+    rng = stage_rng(seed, "synthetic")
     means = spec.separation * rng.standard_normal((spec.num_classes, spec.dim))
-    props = (
-        np.full(spec.num_classes, 1.0 / spec.num_classes)
-        if spec.class_props is None
-        else np.asarray(spec.class_props, dtype=float)
-    )
-    labels = rng.choice(spec.num_classes, size=n, p=props)
+    uniform = np.full(spec.num_classes, 1.0 / spec.num_classes)  # p=None draws another stream
+    labels = rng.choice(spec.num_classes, size=n, p=uniform)
     features = means[labels] + spec.noise * rng.standard_normal((n, spec.dim))
     return SupervisedDataset(features, labels)
 
 
 # minibatch cross-entropy fit of the logging policy
-LOGGING_HIDDEN_WIDTHS = (20, 20)
 LOGGING_STEPS = 500
 LOGGING_LEARNING_RATE = 0.05
 LOGGING_BATCH_SIZE = 64
@@ -73,14 +63,14 @@ LOGGING_BATCH_SIZE = 64
 
 def train_logging_policy(ds: SupervisedDataset, fraction: float, seed: int) -> SoftmaxPolicy:
     """Fit a softmax policy by cross-entropy on a random ``fraction`` subsample."""
-    rng = make_rng(derive_seed(seed, "logging-policy"))
+    rng = stage_rng(seed, "logging-policy")
     n_sub = int(round(fraction * len(ds)))
     if n_sub < ds.num_classes:
         raise ValueError(
             f"fraction {fraction} leaves {n_sub} rows, fewer than {ds.num_classes} classes"
         )
     sub = ds.subset(np.sort(rng.permutation(len(ds))[:n_sub]))
-    policy = SoftmaxPolicy.create(ds.dim, ds.num_classes, LOGGING_HIDDEN_WIDTHS, rng)
+    policy = SoftmaxPolicy.create(ds.dim, ds.num_classes, rng=rng)
     batch_size = min(LOGGING_BATCH_SIZE, n_sub)
     for _ in range(LOGGING_STEPS):
         idx = np.sort(rng.permutation(n_sub)[:batch_size])
@@ -152,12 +142,17 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name, frac in (("logging_fraction", self.logging_fraction),
-                           ("keep_fraction", self.keep_fraction)):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {frac}")
+        for name in ("logging_fraction", "keep_fraction", "alphas", "taus"):
+            value = getattr(self, name)
+            if not all(0.0 <= v <= 1.0 for v in np.atleast_1d(value)):
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name in ("algorithms", "alphas", "taus"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.train_rows < 1:
+            raise ValueError(f"train_rows must be positive, got {self.train_rows}")
         unknown = sorted(set(self.algorithms) - set(_TRAINERS) - {"logging"})
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}; expected names from "
@@ -179,8 +174,6 @@ def run_experiment(
     bandit transform -> reward masking -> train each (algorithm, alpha, tau)
     cell -> exact evaluation on the held-out test set.
     """
-    from .data import read_supervised_csv
-
     if cfg.dataset_path is not None:
         full = read_supervised_csv(cfg.dataset_path)
         if len(full) < cfg.train_rows + cfg.test_rows:
@@ -189,8 +182,7 @@ def run_experiment(
         full = generate_synthetic(
             cfg.synthetic, cfg.train_rows + cfg.test_rows, cfg.seed
         )
-    split_rng = make_rng(derive_seed(cfg.seed, "split"))
-    perm = split_rng.permutation(len(full))
+    perm = stage_rng(cfg.seed, "split").permutation(len(full))
     train_ds = full.subset(np.sort(perm[: cfg.train_rows]))
     test_ds = full.subset(np.sort(perm[cfg.train_rows: cfg.train_rows + cfg.test_rows]))
 
@@ -204,16 +196,12 @@ def run_experiment(
     errors: list[str] = []
     for rep in range(cfg.repetitions):
         rep_seed = derive_seed(cfg.seed, f"rep{rep}")
-        bandit_rng = make_rng(derive_seed(rep_seed, "bandit"))
-        S_all = supervised_to_bandit(train_ds, logging_policy, bandit_rng)
-        mask_rng = make_rng(derive_seed(rep_seed, "mask"))
-        S, S_u = mask_rewards(S_all, cfg.keep_fraction, mask_rng)
+        S_all = supervised_to_bandit(train_ds, logging_policy, stage_rng(rep_seed, "bandit"))
+        S, S_u = mask_rewards(S_all, cfg.keep_fraction, stage_rng(rep_seed, "mask"))
         if cfg.dropped_action is not None:
-            S, S_u = drop_action(S, S_u, cfg.dropped_action)
-        init = SoftmaxPolicy.create(
-            train_ds.dim, train_ds.num_classes, (20, 20),
-            make_rng(derive_seed(rep_seed, "init")),
-        )
+            S = drop_action(S, cfg.dropped_action)
+        init = SoftmaxPolicy.create(train_ds.dim, train_ds.num_classes,
+                                    rng=stage_rng(rep_seed, "init"))
         for algorithm in cfg.algorithms:
             if algorithm == "logging":
                 rows.append(MetricsRow("logging", 0.0, 0.0, rep,
@@ -299,8 +287,6 @@ def write_summary_csv(path, rows: list[MetricsRow]) -> None:
 
 
 def _write_outputs(output_dir, rows, errors) -> None:
-    import os
-
     os.makedirs(output_dir, exist_ok=True)
     write_metrics_csv(os.path.join(output_dir, "metrics.csv"), rows)
     write_summary_csv(os.path.join(output_dir, "summary.csv"), rows)

@@ -147,30 +147,26 @@ class SoftmaxPolicy(_FlatParams):
         return p[0] if X.ndim == 1 else p
 
 
+def _softmax_body(scores: np.ndarray):
+    """The one softmax body: softmax(scores), the scores less their row max (folded
+    over the k columns, skipping numpy's loop over short rows) and the exp's row sums."""
+    shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
+    pi = np.exp(shifted)
+    norm = pi.sum(axis=1)
+    pi /= norm[:, None]  # in place: no second (N, k) array
+    return pi, shifted, norm
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
-    scores = np.atleast_2d(scores)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def log_softmax(scores: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """log pi(a_i|x_i), one value per row, via log-sum-exp: finite wherever the
-    scores are, without building a second (N, k) matrix."""
-    scores = np.atleast_2d(scores)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    return shifted[np.arange(len(actions)), actions] - log_norm
+    return _softmax_body(np.atleast_2d(scores))[0]
 
 
 def softmax_and_log_softmax(scores: np.ndarray, actions: np.ndarray):
-    """``softmax(scores)`` and ``log_softmax(scores, actions)``, the same bits, from one
-    exp; the row max, folded over the k columns, skips numpy's loop over short rows."""
-    shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
-    e = np.exp(shifted)
-    norm = e.sum(axis=1)
-    return e / norm[:, None], shifted[np.arange(len(actions)), actions] - np.log(norm)
+    """``softmax(scores)``, the same bits, and log pi(a_i|x_i) by log-sum-exp,
+    finite wherever the scores are."""
+    pi, shifted, norm = _softmax_body(scores)
+    return pi, shifted[np.arange(len(actions)), actions] - np.log(norm)
 
 
 # ---- checkpoint format -----------------------------------------------------

@@ -177,19 +177,18 @@ class TestDropAction:
     def test_absent_action_is_identity(self):
         log = random_log()
         S = log.take(log.actions != 2)
-        known, unknown = drop_action(S, S.take([]), 2)
-        assert_same_rows(known, S)
+        assert_same_rows(drop_action(S, 2), S)
 
     def test_removes_all_of_action(self):
         S = random_log(n=60)
-        known, _ = drop_action(S, S.take([]), 1)
+        known = drop_action(S, 1)
         assert np.all(known.actions != 1)
         assert len(known) == len(S) - np.sum(S.actions == 1)
 
     def test_keeps_action_count_for_the_regressor(self):
         # PR with the top action dropped still fits a k-column regressor
         S = random_log(n=60, d=2, k=3)
-        known, _ = drop_action(S, S.take([]), 2)
+        known = drop_action(S, 2)
         assert 2 not in known.actions and known.action_count == 3
         assert len(fit_reward_regressor(known).weights) == 2 + 3 + 1
 
@@ -245,13 +244,11 @@ class TestBanditCsv:
             read_bandit_csv(path)
         assert err.value.line_number == 4
 
-    def test_reward_range_validated_with_override(self, tmp_path):
+    def test_reward_outside_range_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("x0,action,propensity,reward\n1.0,0,0.5,-2.5\n")
         with pytest.raises(DatasetFormatError):
             read_bandit_csv(path)
-        known, _ = read_bandit_csv(path, validate_reward_range=False)
-        assert known.rewards[0] == -2.5
 
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -262,14 +259,13 @@ class TestBanditCsv:
             read_bandit_csv(path)
         assert err.value.line_number == 3
 
-    @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_nonfinite_reward_rejected(self, tmp_path, validate, bad):
+    def test_nonfinite_reward_rejected(self, tmp_path, bad):
         # NaN marks a reward-free row, so a written "nan" must not become one
         path = tmp_path / "log.csv"
         path.write_text(f"x0,action,propensity,reward\n1.0,0,0.5,-1\n2.0,0,0.5,{bad}\n")
         with pytest.raises(DatasetFormatError) as err:
-            read_bandit_csv(path, validate_reward_range=validate)
+            read_bandit_csv(path)
         assert err.value.line_number == 3
 
     @settings(max_examples=60, deadline=None)

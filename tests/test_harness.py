@@ -36,12 +36,6 @@ class TestSynthetic:
         c = generate_synthetic(spec, 50, 8)
         assert not np.array_equal(a.features, c.features)
 
-    def test_class_proportions(self):
-        spec = SyntheticSpec(dim=2, num_classes=2, class_props=(0.8, 0.2))
-        ds = generate_synthetic(spec, 20_000, 1)
-        frac = float(np.mean(ds.labels == 0))
-        assert abs(frac - 0.8) < 0.02
-
     def test_large_separation_is_linearly_separable(self):
         spec = SyntheticSpec(dim=5, num_classes=3, separation=20.0, noise=1.0)
         ds = generate_synthetic(spec, 600, 2)
@@ -53,8 +47,6 @@ class TestSynthetic:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SyntheticSpec(dim=0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(num_classes=2, class_props=(0.9, 0.2))
 
 
 class TestEvaluatePolicy:
@@ -325,6 +317,27 @@ class TestConfig:
     def test_negative_dropped_action_rejected_when_built(self):
         with pytest.raises(ValueError, match="dropped_action must be >= 0, got -1"):
             experiment_config_from_keys({"experiment.dropped_action": "-1"})
+
+    @pytest.mark.parametrize("train_rows", [0, -5, -50])
+    def test_nonpositive_train_rows_rejected_when_built(self, train_rows):
+        # unchecked, -5 trains on 1990 rows and scores on 5, and -50 dies inside numpy
+        with pytest.raises(ValueError, match=f"train_rows must be positive, got {train_rows}"):
+            ExperimentConfig(train_rows=train_rows, test_rows=2000)
+
+    @pytest.mark.parametrize("axis", ["algorithms", "alphas", "taus"])
+    def test_empty_sweep_axis_rejected_when_built(self, axis):
+        # unchecked, an empty axis gives a sweep with no trained cell and no error
+        with pytest.raises(ValueError, match=f"{axis} must not be empty"):
+            experiment_config_from_keys({f"experiment.{axis}": ""})
+        with pytest.raises(ValueError, match=f"{axis} must not be empty"):
+            ExperimentConfig(**{axis: ()})
+
+    @pytest.mark.parametrize("axis", ["alphas", "taus"])
+    @pytest.mark.parametrize("bad", [-0.25, 1.5])
+    def test_alpha_or_tau_outside_unit_interval_rejected_when_built(self, axis, bad):
+        # unchecked, it fails every cell, and only after the data and logging policy are built
+        with pytest.raises(ValueError, match=rf"{axis} must be in \[0, 1\], got \(0.5, {bad}\)"):
+            ExperimentConfig(**{axis: (0.5, bad)})
 
     def test_defaults_round_trip(self):
         cfg = experiment_config_from_keys({})

@@ -12,7 +12,6 @@ from semicrm import (
     SoftmaxPolicy,
     SyntheticSpec,
     TrainConfig,
-    TruncationParams,
     evaluate_policy,
     generate_synthetic,
     make_rng,
@@ -40,7 +39,7 @@ S_all = supervised_to_bandit(train_ds, logging_policy, make_rng(1))
 S, S_u = mask_rewards(S_all, keep_fraction=0.1, rng=make_rng(2))
 print(f"training data: {len(S)} rewarded rows, {len(S_u)} reward-free rows\n")
 
-base = TrainConfig(alpha=0.9, trunc=TruncationParams(zeta=0.001, tau=0.001),
+base = TrainConfig(alpha=0.9, zeta=0.001, tau=0.001,
                    epochs=2000, learning_rate=0.02, seed=3)
 init = SoftmaxPolicy.create(train_ds.dim, train_ds.num_classes, rng=stage_rng(3, "init"))
 

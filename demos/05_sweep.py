@@ -8,9 +8,7 @@ available from the command line:
     semicrm sweep -c run.cfg --experiment.alphas 0.5,0.9,1.0
 """
 
-from dataclasses import replace
-
-from semicrm import ExperimentConfig, SyntheticSpec, run_experiment, summarize
+from semicrm import ExperimentConfig, SyntheticSpec, TrainConfig, run_experiment, summarize
 
 cfg = ExperimentConfig(
     synthetic=SyntheticSpec(dim=10, num_classes=5, separation=1.0),
@@ -18,12 +16,12 @@ cfg = ExperimentConfig(
     test_rows=2000,
     logging_fraction=0.01,
     keep_fraction=0.1,
+    train=TrainConfig(zeta=0.001, tau=0.001, epochs=2000, learning_rate=0.02),
     algorithms=("WCE", "logging"),
     alphas=(0.5, 0.9, 1.0),
     repetitions=5,
     seed=0,
 )
-cfg.train = replace(cfg.train, epochs=2000, learning_rate=0.02)
 
 rows, errors = run_experiment(cfg)
 print(f"{len(rows)} cells, {len(errors)} errors\n")
@@ -36,6 +34,6 @@ for cell in summarize(rows):
           f"{cell['expected_risk_std']:>9.4f} "
           f"{cell['accuracy_mean']:>9.4f}")
 
-print("\nwrite metrics.csv / summary.csv by setting cfg.output_dir (or -o on")
+print("\nwrite metrics.csv / summary.csv by passing output_dir= (or -o on")
 print("the command line); with the same master seed the files are")
 print("byte-identical across runs.")

@@ -34,7 +34,6 @@ from .data import (
     write_supervised_csv,
 )
 from .estimators import (
-    TruncationParams,
     combined_objective,
     ips_risk,
     kl_regularizer,

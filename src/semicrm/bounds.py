@@ -147,7 +147,7 @@ def exact_weighted_variance(env: DiscreteEnvironment) -> float:
 # ---- bound inputs and formulas ---------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundInputs:
     """Constants entering the analytic bounds.
 
@@ -171,6 +171,10 @@ class BoundInputs:
             raise ValueError("need c <= b")
         if self.q < 0:
             raise ValueError("q must be >= 0")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
     @property
     def b_u(self) -> float:
@@ -212,8 +216,6 @@ def true_risk_bound(R_hat: float, inputs: BoundInputs, D: float, D_r: float) -> 
 
     R_hat + w_m log(1/delta)/(3n) + sqrt((w_m sqrt(2 min(D, D_r)) + 2) log(1/delta)/n)
     """
-    if not 0.0 < inputs.delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {inputs.delta}")
     log_term = np.log(1.0 / inputs.delta)
     n = inputs.n
     return float(
@@ -356,7 +358,7 @@ def bound_report(env: DiscreteEnvironment, delta: float = 0.05, n: int | None = 
     w_m = env.max_importance_weight()
     c = float(env.reward_table.min())
     b = float(max(env.reward_table.max(), 0.0))
-    inputs = BoundInputs(w_m=w_m, b=b, c=c, n=n or 1, delta=delta)
+    inputs = BoundInputs(w_m=w_m, b=b, c=c, n=1 if n is None else n, delta=delta)
     report = {
         "exact_risk_target": exact_true_risk(env, "target"),
         "exact_risk_logging": exact_true_risk(env, "logging"),

@@ -22,7 +22,6 @@ from .data import (
     write_bandit_csv,
     write_supervised_csv,
 )
-from .estimators import TruncationParams
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -79,7 +78,7 @@ def cmd_train(args):
                                     rng=stage_rng(args.seed, "init"))
     cfg = TrainConfig(
         alpha=args.alpha,
-        trunc=TruncationParams(zeta=args.zeta, tau=args.tau),
+        zeta=args.zeta, tau=args.tau,
         epochs=args.epochs,
         batch_known=args.batch_known,
         batch_unknown=args.batch_unknown,
@@ -170,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--algorithm", choices=sorted(_TRAINERS), default="WCE")
     tr.add_argument("--init", default=None, help="initial policy checkpoint")
     tr.add_argument("--alpha", type=float, default=train.alpha)
-    tr.add_argument("--zeta", type=float, default=train.trunc.zeta)
-    tr.add_argument("--tau", type=float, default=train.trunc.tau)
+    tr.add_argument("--zeta", type=float, default=train.zeta)
+    tr.add_argument("--tau", type=float, default=train.tau)
     tr.add_argument("--epochs", type=int, default=train.epochs,
                     help="number of minibatch steps (not passes over the data)")
     tr.add_argument("--batch-known", type=int, default=train.batch_known)

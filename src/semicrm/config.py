@@ -63,12 +63,10 @@ def experiment_config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
     for key, value in keys.items():
         target, attr, conv = _HANDLERS[key]
         parsed[target][attr] = conv(value)
-    train = parsed["train"]
-    zeta = train.pop("zeta", cfg.train.trunc.zeta)
     return ExperimentConfig(
         **parsed["top"],
         synthetic=replace(cfg.synthetic, **parsed["synthetic"]),
-        train=replace(cfg.train, trunc=replace(cfg.train.trunc, zeta=zeta), **train),
+        train=replace(cfg.train, **parsed["train"]),
     )
 
 

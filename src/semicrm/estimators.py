@@ -13,26 +13,16 @@ left-to-right order, so repeated evaluation is bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import BanditLog
 from .policy import PolicyGradient, SoftmaxPolicy, softmax_and_log_softmax
 
 
-@dataclass(frozen=True)
-class TruncationParams:
-    """Propensity floors: zeta for the IPS risk, tau for the regularizers."""
-
-    zeta: float = 0.0
-    tau: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.zeta <= 1.0:
-            raise ValueError(f"zeta must be in [0, 1], got {self.zeta}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+def check_floor(name: str, floor: float) -> None:
+    """Reject a propensity floor (zeta for IPS, tau for a regularizer) outside [0, 1]."""
+    if not 0.0 <= floor <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {floor}")
 
 
 def _group_weights(actions: np.ndarray) -> np.ndarray:
@@ -91,18 +81,19 @@ REGULARIZERS = ("KL", "RKL", "WCE")
 VALUE_BLOCK = 16_384  # most rows per forward pass of a value-only evaluation
 
 
-def objective_parts(regularizer: str, alpha: float, trunc: TruncationParams,
-                    n_known: int, pooled: bool = False) -> list[tuple]:
+def objective_parts(regularizer: str, alpha: float, n_known: int, zeta: float = 0.0,
+                    tau: float = 0.0, pooled: bool = False) -> list[tuple]:
     """(term, rows, scale, floor) for alpha * IPS + (1 - alpha) * regularizer over
     rows whose first ``n_known`` are rewarded: IPS covers those and the
-    regularizer the rest, or, pooled (PR-CRM), both terms cover every row."""
+    regularizer the rest, or, pooled (PR-CRM), both terms cover every row.
+    IPS floors propensities at ``zeta`` and the regularizer at ``tau``."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if regularizer not in REGULARIZERS:
         raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
     known = slice(None) if pooled else slice(0, n_known)
     unknown = slice(None) if pooled else slice(n_known, None)
-    return [("IPS", known, alpha, trunc.zeta), (regularizer, unknown, 1.0 - alpha, trunc.tau)]
+    return [("IPS", known, alpha, zeta), (regularizer, unknown, 1.0 - alpha, tau)]
 
 
 def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts,
@@ -141,6 +132,8 @@ def column_term_values(policy, contexts, actions, propensities, rewards, parts, 
 
 
 def _estimate(policy: SoftmaxPolicy, rows: BanditLog, parts) -> float:
+    for term, _, _, floor in parts:
+        check_floor("zeta" if term == "IPS" else "tau", floor)
     values, _ = term_values(policy, rows, parts)
     return sum(scale * value for (_, _, scale, _), value in zip(parts, values))
 
@@ -181,11 +174,12 @@ def combined_objective(
     S: BanditLog,
     S_u: BanditLog,
     alpha: float,
-    trunc: TruncationParams = TruncationParams(),
+    zeta: float = 0.0,
+    tau: float = 0.0,
     variant: str = "WCE",
 ) -> float:
     """alpha * truncated IPS risk on S + (1 - alpha) * regularizer on S_u."""
-    return _estimate(policy, S.concat(S_u), objective_parts(variant, alpha, trunc, len(S)))
+    return _estimate(policy, S.concat(S_u), objective_parts(variant, alpha, len(S), zeta, tau))
 
 
 def pseudo_reward_objective(
@@ -193,12 +187,13 @@ def pseudo_reward_objective(
     S: BanditLog,
     S_u_aug: BanditLog,
     alpha: float,
-    trunc: TruncationParams = TruncationParams(),
+    zeta: float = 0.0,
+    tau: float = 0.0,
 ) -> float:
     """Pseudo-reward risk: truncated IPS over S plus pseudo-reward IPS over the
     augmented set (pseudo-rewards in its reward column), scaled by
     alpha/(n+m), plus (1 - alpha) times the WCE regularizer over the union
     (action groups computed on the union).
     """
-    parts = objective_parts("WCE", alpha, trunc, len(S), pooled=True)
+    parts = objective_parts("WCE", alpha, len(S), zeta, tau, pooled=True)
     return _estimate(policy, S.concat(S_u_aug), parts)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,13 +19,12 @@ from .data import (
     read_supervised_csv,
     supervised_to_bandit,
 )
-from .estimators import TruncationParams
 from .policy import SoftmaxPolicy, softmax
 from .rng import derive_seed, stage_rng
 from .trainers import TRAINERS as _TRAINERS, TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Mixture-of-Gaussians classification data: one component per class.
 
@@ -121,17 +120,15 @@ class MetricsRow:
     runtime_seconds: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
+    synthetic: SyntheticSpec = SyntheticSpec()
     dataset_path: str | None = None     # supervised CSV; overrides synthetic
     train_rows: int = 6000
     test_rows: int = 2000
     logging_fraction: float = 0.05
     keep_fraction: float = 0.1
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        trunc=TruncationParams(zeta=0.001, tau=0.001)
-    ))
+    train: TrainConfig = TrainConfig(zeta=0.001, tau=0.001)
     algorithms: tuple[str, ...] = ("WCE", "KL", "PR", "logging")
     alphas: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
     taus: tuple[float, ...] = (0.001,)
@@ -226,12 +223,8 @@ def run_experiment(
 
 def _run_cell(cfg, algorithm, alpha, tau, rep, rep_seed, S, S_u, init, test_ds):
     trainer = _TRAINERS[algorithm]
-    cell_cfg = replace(
-        cfg.train,
-        alpha=alpha,
-        trunc=TruncationParams(zeta=cfg.train.trunc.zeta, tau=tau),
-        seed=derive_seed(rep_seed, f"train.{algorithm}.{alpha}.{tau}"),
-    )
+    cell_cfg = replace(cfg.train, alpha=alpha, tau=tau,
+                       seed=derive_seed(rep_seed, f"train.{algorithm}.{alpha}.{tau}"))
     start = time.perf_counter()
     policy, _ = trainer(S, S_u, cell_cfg, init)
     elapsed = time.perf_counter() - start if cfg.timing else 0.0

@@ -19,15 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BanditLog
-from .estimators import TruncationParams, column_term_values, objective_parts
+from .estimators import check_floor, column_term_values, objective_parts
 from .policy import DimensionMismatchError, SoftmaxPolicy
 from .rng import make_rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 0.9
-    trunc: TruncationParams = field(default_factory=TruncationParams)
+    zeta: float = 0.0  # propensity floor of the IPS term
+    tau: float = 0.0  # propensity floor of the regularizer
     epochs: int = 1000  # minibatch steps, not passes over the data
     batch_known: int = 64
     batch_unknown: int = 256
@@ -35,6 +36,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_floor("zeta", self.zeta)
+        check_floor("tau", self.tau)
         if self.epochs <= 0 or self.batch_known <= 0 or self.batch_unknown <= 0:
             raise ValueError("epochs and batch sizes must be positive")
         if self.learning_rate <= 0 or not np.isfinite(self.learning_rate):
@@ -114,7 +117,7 @@ def _descend(
     n_known, n_unknown = len(S), len(S_u)
     batch_known = min(cfg.batch_known, n_known)
     batch_unknown = min(cfg.batch_unknown, n_unknown)
-    parts = objective_parts(regularizer, cfg.alpha, cfg.trunc, batch_known, pooled)
+    parts = objective_parts(regularizer, cfg.alpha, batch_known, cfg.zeta, cfg.tau, pooled)
     policy = init.copy()
     trace = TrainTrace()
     rng = make_rng(cfg.seed)

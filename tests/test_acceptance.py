@@ -29,7 +29,6 @@ from semicrm.bounds import (
 from semicrm.cli import main as cli_main
 from semicrm.data import BanditLog
 from semicrm.estimators import (
-    TruncationParams,
     ips_risk,
     kl_regularizer,
     objective_parts,
@@ -63,10 +62,7 @@ def benchmark_config(**kw):
         repetitions=10,
         seed=0,
     )
-    cfg.train = replace(cfg.train, epochs=2000, learning_rate=0.02)
-    for key, value in kw.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(cfg, train=replace(cfg.train, epochs=2000, learning_rate=0.02), **kw)
 
 
 def medians_by_cell(rows):
@@ -236,12 +232,11 @@ def test_criterion_07_gradient_correctness():
         known, unknown = S, S_u
         aug = S_u.with_rewards([float(rng.uniform(-1, 0)) for _ in range(len(S_u))])
         policy = SoftmaxPolicy.create(d, k, (6,), rng)
-        trunc = TruncationParams(zeta=0.05, tau=0.05)
-        ips_parts = objective_parts("WCE", 1.0, trunc, len(known))
-        wce_parts = objective_parts("WCE", 0.0, trunc, 0)
-        kl_parts = objective_parts("KL", 0.0, trunc, 0)
+        ips_parts = objective_parts("WCE", 1.0, len(known), 0.05, 0.05)
+        wce_parts = objective_parts("WCE", 0.0, 0, 0.05, 0.05)
+        kl_parts = objective_parts("KL", 0.0, 0, 0.05, 0.05)
         pooled = known.concat(aug)
-        pr_parts = objective_parts("WCE", 0.6, trunc, len(known), pooled=True)
+        pr_parts = objective_parts("WCE", 0.6, len(known), 0.05, 0.05, pooled=True)
 
         def pr_value(p):
             (ips, wce), _ = term_values(p, pooled, pr_parts)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -169,6 +170,23 @@ class TestTrueRiskBound:
             true_risk_bound(0.0, BoundInputs(delta=1.5), 0.0, 0.0)
 
 
+class TestBoundInputs:
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n=0), "n must be >= 1, got 0"),
+        (dict(n=-5), "n must be >= 1, got -5"),
+        (dict(delta=0.0), r"delta must be in \(0, 1\), got 0.0"),
+        (dict(delta=1.5), r"delta must be in \(0, 1\), got 1.5"),
+    ], ids=["n=0", "n=-5", "delta=0", "delta=1.5"])
+    def test_out_of_range_rejected_when_built(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            BoundInputs(**kw)
+
+    def test_built_inputs_cannot_be_changed(self):
+        inputs = BoundInputs(n=100)
+        with pytest.raises(FrozenInstanceError):
+            inputs.n = 0
+
+
 class TestRiskDiffBound:
     def test_values(self):
         assert risk_diff_bound(0.0, 0.0) == 0.0
@@ -323,6 +341,18 @@ class TestEnvironmentFileAndReport:
             lines.insert(2, lines[1])
         with pytest.raises(ValueError, match="line 3: context_probs takes one row"):
             read_environment(self.edited_environment(tmp_path, edit))
+
+    @pytest.mark.parametrize("kw, message", [
+        # n=0 used to report the bound at n=1, n=-5 a NaN bound, and delta=1.5
+        # without n went through
+        (dict(n=0), "n must be >= 1"),
+        (dict(n=-5), "n must be >= 1"),
+        (dict(delta=1.5), r"delta must be in \(0, 1\)"),
+    ], ids=["n=0", "n=-5", "delta=1.5"])
+    def test_report_rejects_bad_n_or_delta(self, kw, message):
+        env = random_environment(make_rng(12), 3, 3)
+        with pytest.raises(ValueError, match=message):
+            bound_report(env, **kw)
 
     def test_report_brackets_exact_variance(self):
         env = random_environment(make_rng(12), 3, 3)

@@ -118,6 +118,19 @@ class TestBoundsCommand:
             assert got[key] == pytest.approx(expected[key], rel=1e-12)
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--n", 0), "n must be >= 1, got 0"),
+        (("--n", -5), "n must be >= 1, got -5"),
+        (("--delta", 1.5), r"delta must be in \(0, 1\), got 1.5"),
+    ], ids=["n=0", "n=-5", "delta=1.5"])
+    def test_bad_n_or_delta_rejected(self, tmp_path, flags, message):
+        env_path = tmp_path / "env.txt"
+        write_environment(env_path, random_environment(make_rng(5), 3, 3))
+        with pytest.raises(ValueError, match=message):
+            run("bounds", "--env", env_path, "--out", tmp_path / "report.csv", *flags)
+        assert not (tmp_path / "report.csv").exists()
+
+
 class TestSweepCommand:
     CONFIG = """
     synthetic.dim = 2
@@ -154,6 +167,13 @@ class TestSweepCommand:
             run("sweep", "-c", cfg_path, "-o", tmp_path / name)
             outs.append((tmp_path / name / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_out_of_range_zeta_fails_before_any_work(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(self.CONFIG)
+        with pytest.raises(ValueError, match=r"zeta must be in \[0, 1\], got 2.0"):
+            run("sweep", "-c", cfg_path, "-o", tmp_path / "out", "--train.zeta=2")
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

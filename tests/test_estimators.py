@@ -18,7 +18,6 @@ from semicrm.bounds import (
     random_environment,
 )
 from semicrm.estimators import (
-    TruncationParams,
     combined_objective,
     ips_risk,
     kl_regularizer,
@@ -193,22 +192,19 @@ class TestCombinedObjective:
 
     def test_alpha_one_is_pure_ips(self, setup):
         policy, S, S_u = setup
-        trunc = TruncationParams(zeta=0.01, tau=0.01)
-        got = combined_objective(policy, S, S_u, 1.0, trunc, "WCE")
+        got = combined_objective(policy, S, S_u, 1.0, 0.01, 0.01, "WCE")
         assert got == truncated_ips_risk(policy, S, 0.01)
 
     def test_alpha_zero_is_pure_regularizer(self, setup):
         policy, S, S_u = setup
-        trunc = TruncationParams(tau=0.01)
-        got = combined_objective(policy, S, S_u, 0.0, trunc, "KL")
+        got = combined_objective(policy, S, S_u, 0.0, tau=0.01, variant="KL")
         assert got == kl_regularizer(policy, S_u, 0.01)
 
     def test_alpha_half_is_mean(self, setup):
         policy, S, S_u = setup
-        trunc = TruncationParams(zeta=0.001, tau=0.001)
         risk = truncated_ips_risk(policy, S, 0.001)
         reg = wce_regularizer(policy, S_u, 0.001)
-        got = combined_objective(policy, S, S_u, 0.5, trunc, "WCE")
+        got = combined_objective(policy, S, S_u, 0.5, 0.001, 0.001, "WCE")
         assert got == pytest.approx(0.5 * risk + 0.5 * reg, abs=1e-12)
 
     def test_alpha_out_of_range(self, setup):
@@ -230,11 +226,11 @@ class TestPseudoRewardObjective:
         env = random_environment(rng)
         S = env.sample_logged(30, rng)
         policy = table_policy(env)
-        alpha, trunc = 0.7, TruncationParams(zeta=0.01, tau=0.01)
-        got = pseudo_reward_objective(policy, S, S.take([]), alpha, trunc)
+        alpha, zeta, tau = 0.7, 0.01, 0.01
+        got = pseudo_reward_objective(policy, S, S.take([]), alpha, zeta, tau)
         S_u_from_S = S.with_rewards(np.nan)
-        expected = (alpha * truncated_ips_risk(policy, S, trunc.zeta)
-                    + (1 - alpha) * wce_regularizer(policy, S_u_from_S, trunc.tau))
+        expected = (alpha * truncated_ips_risk(policy, S, zeta)
+                    + (1 - alpha) * wce_regularizer(policy, S_u_from_S, tau))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_two_sample_hand_computation(self):
@@ -247,8 +243,29 @@ class TestPseudoRewardObjective:
         # distinct actions: each union group has one sample
         wce = -0.4 * math.log(pi) - 0.8 * math.log(pi)
         expected = alpha / 2.0 * ips + (1 - alpha) * wce
-        got = pseudo_reward_objective(policy, S, aug, alpha, TruncationParams())
+        got = pseudo_reward_objective(policy, S, aug, alpha)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+class TestFloorRange:
+    @pytest.mark.parametrize("estimate, floor", [
+        pytest.param(lambda p, S, S_u, v: truncated_ips_risk(p, S, v), "zeta", id="ips"),
+        pytest.param(lambda p, S, S_u, v: kl_regularizer(p, S_u, v), "tau", id="kl"),
+        pytest.param(lambda p, S, S_u, v: wce_regularizer(p, S_u, v), "tau", id="wce"),
+        pytest.param(lambda p, S, S_u, v: combined_objective(p, S, S_u, 0.5, zeta=v),
+                     "zeta", id="combined-zeta"),
+        pytest.param(lambda p, S, S_u, v: combined_objective(p, S, S_u, 0.5, tau=v, variant="KL"),
+                     "tau", id="combined-tau"),
+        pytest.param(lambda p, S, S_u, v: pseudo_reward_objective(p, S, S.take([]), 0.5, tau=v),
+                     "tau", id="pseudo-reward-tau"),
+    ])
+    @pytest.mark.parametrize("bad", [2.0, -0.5])
+    def test_floor_outside_unit_interval_rejected(self, estimate, floor, bad):
+        rng = make_rng(17)
+        env = random_environment(rng)
+        S, S_u = env.sample_logged(30, rng), sample_unknown(env, 40, rng)
+        with pytest.raises(ValueError, match=rf"{floor} must be in \[0, 1\], got {bad}"):
+            estimate(table_policy(env), S, S_u, bad)
 
 
 class TestPermutationInvariance:
@@ -306,7 +323,7 @@ class TestUnderflow:
             0.4 * 1000.0 + 0.6 * math.log1p(math.exp(-1000.0)))
         assert math.isfinite(kl_regularizer(policy, S_u, 0.01))
         for regularizer in ("WCE", "KL"):
-            parts = objective_parts(regularizer, 0.0, TruncationParams(tau=0.01), 0)
+            parts = objective_parts(regularizer, 0.0, 0, tau=0.01)
             (_, value), grad = term_values(policy, batch, parts, gradient=True)
             assert math.isfinite(value)
             assert all(np.all(np.isfinite(g)) for g in grad.weights + grad.biases)
@@ -321,11 +338,10 @@ class TestTermValues:
         S_u = random_unknowns(n=30, seed=32)
         aug = S_u.with_rewards(rng.uniform(-1.0, 0.0, len(S_u)))
         policy = SoftmaxPolicy.create(2, 3, (5,), rng)
-        trunc = TruncationParams(zeta=0.05, tau=0.05)
         cases = {
-            "WCE": (S.concat(S_u), objective_parts("WCE", 0.6, trunc, len(S))),
-            "KL": (S.concat(S_u), objective_parts("KL", 0.6, trunc, len(S))),
-            "PR": (S.concat(aug), objective_parts("WCE", 0.6, trunc, len(S), pooled=True)),
+            "WCE": (S.concat(S_u), objective_parts("WCE", 0.6, len(S), 0.05, 0.05)),
+            "KL": (S.concat(S_u), objective_parts("KL", 0.6, len(S), 0.05, 0.05)),
+            "PR": (S.concat(aug), objective_parts("WCE", 0.6, len(S), 0.05, 0.05, pooled=True)),
         }
         for rows, parts in cases.values():
             values, no_grad = term_values(policy, rows, parts)
@@ -334,9 +350,9 @@ class TestTermValues:
             assert np.array(values).tobytes() == np.array(values_too).tobytes()
         for alpha in (-0.1, 1.1):
             with pytest.raises(ValueError, match="alpha"):
-                objective_parts("WCE", alpha, trunc, len(S))
+                objective_parts("WCE", alpha, len(S), 0.05, 0.05)
         with pytest.raises(ValueError, match="regularizer"):
-            objective_parts("CHI2", 0.5, trunc, len(S))
+            objective_parts("CHI2", 0.5, len(S), 0.05, 0.05)
 
     def test_value_path_runs_in_row_blocks(self, monkeypatch):
         # 70 rows in blocks of at most 7, one straddling the known/unknown boundary
@@ -346,7 +362,7 @@ class TestTermValues:
                       for _ in range(40)], 3)
         rows = S.concat(random_unknowns(n=30, seed=34))
         policy = SoftmaxPolicy.create(2, 3, (5,), rng)
-        parts = objective_parts("WCE", 0.6, TruncationParams(zeta=0.05, tau=0.05), len(S))
+        parts = objective_parts("WCE", 0.6, len(S), 0.05, 0.05)
         whole, _ = term_values(policy, rows, parts, gradient=True)
         forward, seen = policy.forward, []
         monkeypatch.setattr(policy, "forward", lambda X: seen.append(len(X)) or forward(X))

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from conftest import uniform_policy
@@ -23,6 +25,7 @@ from semicrm.harness import (
 )
 from semicrm.policy import save_policy
 from semicrm.rng import make_rng
+from semicrm.trainers import TrainConfig
 
 
 class TestSynthetic:
@@ -119,16 +122,13 @@ class TestLoggingPolicy:
 
 
 def tiny_config(**kw):
-    from semicrm.estimators import TruncationParams
-    from semicrm.trainers import TrainConfig
-
     defaults = dict(
         synthetic=SyntheticSpec(dim=2, num_classes=2, separation=3.0),
         train_rows=80,
         test_rows=40,
         logging_fraction=0.1,
         keep_fraction=0.2,
-        train=TrainConfig(trunc=TruncationParams(zeta=0.001, tau=0.001),
+        train=TrainConfig(zeta=0.001, tau=0.001,
                           epochs=5, batch_known=8, batch_unknown=16),
         algorithms=("WCE", "logging"),
         alphas=(0.5, 1.0),
@@ -207,14 +207,11 @@ class TestRunExperiment:
     ])
     def test_divergence_is_a_cell_error(self, tmp_path, algorithms, learning_rate, batch):
         # a diverged cell goes to errors.txt, not into metrics.csv as NaN
-        from semicrm.estimators import TruncationParams
-        from semicrm.trainers import TrainConfig
-
         batches = {} if batch is None else dict(batch_known=batch, batch_unknown=batch)
         cfg = ExperimentConfig(
             synthetic=SyntheticSpec(dim=4, num_classes=3), train_rows=600,
             test_rows=200, algorithms=algorithms, alphas=(0.5,), repetitions=1,
-            train=TrainConfig(trunc=TruncationParams(0.001, 0.001), epochs=50,
+            train=TrainConfig(zeta=0.001, tau=0.001, epochs=50,
                               learning_rate=learning_rate, **batches),
             output_dir=str(tmp_path),
         )
@@ -338,6 +335,19 @@ class TestConfig:
         # unchecked, it fails every cell, and only after the data and logging policy are built
         with pytest.raises(ValueError, match=rf"{axis} must be in \[0, 1\], got \(0.5, {bad}\)"):
             ExperimentConfig(**{axis: (0.5, bad)})
+
+    @pytest.mark.parametrize("built, name, value", [
+        (ExperimentConfig(), "alphas", (1.5,)),
+        (ExperimentConfig(), "alphas", ()),
+        (TrainConfig(), "epochs", -3),
+        (SyntheticSpec(), "dim", 0),
+    ], ids=["ExperimentConfig.alphas=(1.5,)", "ExperimentConfig.alphas=()",
+            "TrainConfig.epochs", "SyntheticSpec.dim"])
+    def test_built_config_cannot_be_changed(self, built, name, value):
+        # assignment would skip the checks the constructor runs: alphas=() gave
+        # a sweep with no trained cell and epochs=-3 an untrained policy
+        with pytest.raises(FrozenInstanceError):
+            setattr(built, name, value)
 
     def test_defaults_round_trip(self):
         cfg = experiment_config_from_keys({})

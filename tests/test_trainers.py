@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from semicrm.bounds import random_environment
 from semicrm.data import supervised_to_bandit
 from semicrm.estimators import (
-    TruncationParams,
     combined_objective,
     objective_parts,
     pseudo_reward_objective,
@@ -78,7 +77,7 @@ class TestObjectiveGradients:
         S, _ = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 50))
         batch = S
-        parts = objective_parts("WCE", 1.0, TruncationParams(zeta=0.1), len(batch))
+        parts = objective_parts("WCE", 1.0, len(batch), zeta=0.1)
         _, grad = term_values(policy, batch, parts, gradient=True)
         check_gradient(policy, lambda p: term_values(p, batch, parts)[0][0], grad)
 
@@ -87,7 +86,7 @@ class TestObjectiveGradients:
         _, S_u = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 60))
         batch = S_u
-        parts = objective_parts("WCE", 0.0, TruncationParams(tau=0.05), 0)
+        parts = objective_parts("WCE", 0.0, 0, tau=0.05)
         _, grad = term_values(policy, batch, parts, gradient=True)
         check_gradient(policy, lambda p: term_values(p, batch, parts)[0][1], grad)
 
@@ -96,7 +95,7 @@ class TestObjectiveGradients:
         _, S_u = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 70))
         batch = S_u
-        parts = objective_parts("KL", 0.0, TruncationParams(tau=0.05), 0)
+        parts = objective_parts("KL", 0.0, 0, tau=0.05)
         _, grad = term_values(policy, batch, parts, gradient=True)
         check_gradient(policy, lambda p: term_values(p, batch, parts)[0][1], grad)
 
@@ -107,9 +106,8 @@ class TestObjectiveGradients:
         aug = S_u.with_rewards([float(rng.uniform(-1.0, 0.0)) for _ in range(len(S_u))])
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 90))
         known, aug_batch = S, aug
-        trunc = TruncationParams(zeta=0.05, tau=0.05)
         rows = known.concat(aug_batch)
-        parts = objective_parts("WCE", 0.6, trunc, len(known), pooled=True)
+        parts = objective_parts("WCE", 0.6, len(known), 0.05, 0.05, pooled=True)
 
         def value(p):
             (ips, wce), _ = term_values(p, rows, parts)
@@ -131,7 +129,7 @@ class TestObjectiveGradients:
             for i in range(20)
         ], 4)
         policy = SoftmaxPolicy.create(3, 4, (5,), make_rng(120))
-        parts = objective_parts(regularizer, 0.6, TruncationParams(zeta=0.05, tau=0.05), 8)
+        parts = objective_parts(regularizer, 0.6, 8, 0.05, 0.05)
         values, grad = term_values(policy, rows, parts, gradient=True)
         assert all(map(math.isfinite, values)) and np.all(np.isfinite(grad.flat))
 
@@ -173,16 +171,15 @@ class TestValuesAndGradientsShareOneDefinition:
     def test_step_is_gradient_of_public_objective(self, algorithm, alpha):
         S, S_u = random_batches(3, n=12, m=16)
         init = SoftmaxPolicy.create(3, 3, (5,), make_rng(40))
-        trunc = TruncationParams(zeta=0.05, tau=0.05)
-        cfg = TrainConfig(alpha=alpha, trunc=trunc, epochs=1, batch_known=len(S),
+        cfg = TrainConfig(alpha=alpha, zeta=0.05, tau=0.05, epochs=1, batch_known=len(S),
                           batch_unknown=len(S_u), learning_rate=1.0)
         trainer = {"WCE": train_wce_crm, "KL": train_kl_crm, "PR": train_pr_crm}[algorithm]
         stepped, _ = trainer(S, S_u, cfg, init)
         if algorithm == "PR":
             aug = predict_pseudo_rewards(fit_reward_regressor(S), S_u)
-            value_fn = lambda p: pseudo_reward_objective(p, S, aug, alpha, trunc)
+            value_fn = lambda p: pseudo_reward_objective(p, S, aug, alpha, 0.05, 0.05)
         else:
-            value_fn = lambda p: combined_objective(p, S, S_u, alpha, trunc, algorithm)
+            value_fn = lambda p: combined_objective(p, S, S_u, alpha, 0.05, 0.05, algorithm)
         step = PolicyGradient([a - b for a, b in zip(init.weights, stepped.weights)],
                               [a - b for a, b in zip(init.biases, stepped.biases)])
         check_gradient(init, value_fn, step)
@@ -202,7 +199,7 @@ class TestHandWorkedStep:
 
         S = make_log([([x_k], a_k, p_k, r_k)], 2)
         S_u = make_log([([x_u], a_u, p_u)], 2)
-        cfg = TrainConfig(alpha=alpha, trunc=TruncationParams(),
+        cfg = TrainConfig(alpha=alpha,
                           epochs=1, batch_known=1, batch_unknown=1,
                           learning_rate=lr, seed=0)
         trained, _ = train_wce_crm(S, S_u, cfg, policy)
@@ -252,11 +249,16 @@ class TestTrainerContracts:
         return S, S_u, init
 
     def cfg(self, **kw):
-        defaults = dict(alpha=0.5, trunc=TruncationParams(zeta=0.01, tau=0.01),
+        defaults = dict(alpha=0.5, zeta=0.01, tau=0.01,
                         epochs=5, batch_known=20, batch_unknown=30,
                         learning_rate=0.05, seed=7)
         defaults.update(kw)
         return TrainConfig(**defaults)
+
+    @pytest.mark.parametrize("floor, bad", [("zeta", 1.5), ("tau", -0.1)])
+    def test_floor_outside_unit_interval_rejected(self, floor, bad):
+        with pytest.raises(ValueError, match=rf"{floor} must be in \[0, 1\], got {bad}"):
+            TrainConfig(**{floor: bad})
 
     def test_seed_determinism(self):
         S, S_u, init = self.make_setup()
@@ -398,12 +400,12 @@ class TestPrCrm:
         S, _ = random_batches(5, n=25, m=1)
         init = SoftmaxPolicy.create(3, 3, (6,), make_rng(105))
         alpha = 0.4
-        cfg_pr = TrainConfig(alpha=alpha, trunc=TruncationParams(zeta=0.01, tau=0.01),
+        cfg_pr = TrainConfig(alpha=alpha, zeta=0.01, tau=0.01,
                              epochs=20, batch_known=25, batch_unknown=5,
                              learning_rate=0.05, seed=9)
         p_pr, _ = train_pr_crm(S, S.take([]), cfg_pr, init)
         S_u_from_S = S.with_rewards(np.nan)
-        cfg_wce = TrainConfig(alpha=alpha, trunc=TruncationParams(zeta=0.01, tau=0.01),
+        cfg_wce = TrainConfig(alpha=alpha, zeta=0.01, tau=0.01,
                               epochs=20, batch_known=25, batch_unknown=25,
                               learning_rate=0.05, seed=9)
         p_wce, _ = train_wce_crm(S, S_u_from_S, cfg_wce, init)
@@ -415,7 +417,7 @@ class TestPrCrm:
         S = env.sample_logged(200, rng)
         S_u = sample_unknown(env, 400, rng)
         init = SoftmaxPolicy.create(4, 3, (10,), make_rng(31))
-        cfg = TrainConfig(alpha=0.8, trunc=TruncationParams(zeta=0.01, tau=0.01),
+        cfg = TrainConfig(alpha=0.8, zeta=0.01, tau=0.01,
                           epochs=200, batch_known=64, batch_unknown=128,
                           learning_rate=0.05, seed=32)
         _, trace = train_pr_crm(S, S_u, cfg, init)

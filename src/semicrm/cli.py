@@ -70,12 +70,7 @@ def cmd_mask(args):
 
 
 def cmd_train(args):
-    S, S_u = read_bandit_csv(args.data)
-    if args.init is not None:
-        init = load_policy(args.init)
-    else:
-        init = SoftmaxPolicy.create(S.dim, S.action_count,
-                                    rng=stage_rng(args.seed, "init"))
+    # built first, so a bad setting fails before the log is parsed
     cfg = TrainConfig(
         alpha=args.alpha,
         zeta=args.zeta, tau=args.tau,
@@ -85,6 +80,12 @@ def cmd_train(args):
         learning_rate=args.learning_rate,
         seed=args.seed,
     )
+    S, S_u = read_bandit_csv(args.data)
+    if args.init is not None:
+        init = load_policy(args.init)
+    else:
+        init = SoftmaxPolicy.create(S.dim, S.action_count,
+                                    rng=stage_rng(args.seed, "init"))
     policy, trace = _TRAINERS[args.algorithm](S, S_u, cfg, init)
     save_policy(policy, args.out)
     if args.trace is not None:

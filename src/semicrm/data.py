@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, replace
 
@@ -247,15 +248,36 @@ def _finite_features(feats: array, linenos: array, d: int) -> np.ndarray:
     return features
 
 
-def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
-    """Parse a logged dataset into its rewarded rows S and reward-free rows S_u.
+def _numpy_columns(path, d: int, tail: list, converters=None) -> list | None:
+    """The features, then the ``tail`` fields, of every row after the header
+    as contiguous arrays from one ``np.loadtxt`` parse.  None sends the file to
+    the line parser: when numpy refuses or warns (its grammar is stricter than
+    ``float()``/``int()``; numpy 1.x only warns on an int written as a float
+    and on a file with no rows), or when a feature is not finite or an action
+    or label negative, so the error is reported on its line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=[("x", float, (d,)), *tail], delimiter=",",
+                              comments=None, skiprows=1, ndmin=1, encoding=None,
+                              converters=converters)
+    except (ValueError, Warning):
+        return None
+    columns = [np.array(rows[name]) for name in rows.dtype.names]
+    return columns if np.isfinite(columns[0]).all() and (columns[1] >= 0).all() else None
 
-    A row with an empty reward field is reward-free; a reward must lie in
-    [-1, 0].  The format does not record the action count, so both parts take
-    1 + the largest action in the file.
-    """
-    lines = _read_lines(path)
-    d = _header(lines, ["action", "propensity", "reward"])
+
+def _reward(field: str) -> float:
+    """A reward field: empty for a reward-free row (NaN), else in [-1, 0]."""
+    reward = float(field) if field != "" else math.nan
+    if field != "" and not -1.0 <= reward <= 0.0:  # also rejects nan and inf
+        raise ValueError(f"reward must be in [-1, 0], got {reward}")
+    return reward
+
+
+def _bandit_lines(lines, d: int) -> tuple:
+    """The bandit format's line parser: its definition, and the source of
+    every line-numbered error."""
     # flat float arrays rather than one list per row: 8 bytes a value
     feats, actions, propensities, rewards = array("d"), [], array("d"), array("d")
     linenos = array("l")
@@ -273,20 +295,31 @@ def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
             raise DatasetFormatError(lineno, f"negative action index {action}")
         if not 0.0 < propensity <= 1.0:
             raise DatasetFormatError(lineno, f"propensity must be in (0, 1], got {propensity}")
-        reward = math.nan
-        if fields[d + 2] != "":
-            try:
-                reward = float(fields[d + 2])
-            except ValueError as exc:
-                raise DatasetFormatError(lineno, str(exc)) from exc
-            if not -1.0 <= reward <= 0.0:  # also rejects nan and inf
-                raise DatasetFormatError(lineno, f"reward must be in [-1, 0], got {reward}")
+        try:
+            reward = _reward(fields[d + 2])
+        except ValueError as exc:
+            raise DatasetFormatError(lineno, str(exc)) from exc
         actions.append(action)
         propensities.append(propensity)
         rewards.append(reward)
         linenos.append(lineno)
-    log = BanditLog(_finite_features(feats, linenos, d), actions, propensities,
-                    rewards, max(actions, default=-1) + 1)
+    return _finite_features(feats, linenos, d), actions, propensities, rewards
+
+
+def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
+    """Parse a logged dataset into its rewarded rows S and reward-free rows S_u.
+
+    A row with an empty reward field is reward-free; a reward must lie in
+    [-1, 0].  The format does not record the action count, so both parts take
+    1 + the largest action in the file.
+    """
+    lines = _read_lines(path)
+    d = _header(lines, ["action", "propensity", "reward"])
+    columns = _numpy_columns(path, d, [("action", np.int64), ("propensity", float),
+                                       ("reward", float)], {d + 2: _reward})
+    if columns is None or not ((0.0 < columns[2]) & (columns[2] <= 1.0)).all():
+        columns = _bandit_lines(lines, d)
+    log = BanditLog(*columns, int(np.max(columns[1], initial=-1)) + 1)
     rewarded = ~np.isnan(log.rewards)
     return log.take(rewarded), log.take(~rewarded)
 
@@ -297,9 +330,8 @@ def write_supervised_csv(path, ds: SupervisedDataset) -> None:
                (row % (*x, y) for x, y in zip(ds.features.tolist(), ds.labels.tolist())))
 
 
-def read_supervised_csv(path) -> SupervisedDataset:
-    lines = _read_lines(path)
-    d = _header(lines, ["label"])
+def _supervised_lines(lines, d: int) -> tuple:
+    """The supervised format's line parser (see ``_bandit_lines``)."""
     feats, labels, linenos = array("d"), [], array("l")
     for lineno, line in lines:
         fields = line.split(",")
@@ -313,4 +345,11 @@ def read_supervised_csv(path) -> SupervisedDataset:
         if labels[-1] < 0:
             raise DatasetFormatError(lineno, f"negative label {labels[-1]}")
         linenos.append(lineno)
-    return SupervisedDataset(_finite_features(feats, linenos, d), np.array(labels))
+    return _finite_features(feats, linenos, d), np.array(labels)
+
+
+def read_supervised_csv(path) -> SupervisedDataset:
+    lines = _read_lines(path)
+    d = _header(lines, ["label"])
+    columns = _numpy_columns(path, d, [("label", np.int64)])
+    return SupervisedDataset(*(columns if columns is not None else _supervised_lines(lines, d)))

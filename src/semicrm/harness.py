@@ -40,7 +40,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.dim <= 0 or self.num_classes <= 0:
             raise ValueError("dim and num_classes must be positive")
-        if self.noise < 0 or self.separation < 0:
+        if not (self.noise >= 0) or not (self.separation >= 0):  # also rejects nan
             raise ValueError("separation and noise must be nonnegative")
 
 

@@ -36,6 +36,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         check_floor("zeta", self.zeta)
         check_floor("tau", self.tau)
         if self.epochs <= 0 or self.batch_known <= 0 or self.batch_unknown <= 0:

@@ -81,6 +81,11 @@ class TestPipeline:
             run("train", "--data", log, "--out", tmp_path / "out.policy",
                 "--init", init, "--alpha", 0.5, "--epochs", 2)
 
+    def test_out_of_range_alpha_fails_before_the_log_is_read(self, tmp_path):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got 1.5"):
+            run("train", "--data", tmp_path / "missing.csv", "--out", tmp_path / "out.policy",
+                "--alpha", 1.5)
+
     def test_label_outside_policy_actions_rejected(self, tmp_path):
         sup, pol = tmp_path / "s.csv", tmp_path / "p.pol"
         sup.write_text("x0,label\n0.5,0\n1.5,4\n")

@@ -326,3 +326,154 @@ class TestSupervisedCsv:
         with pytest.raises(DatasetFormatError) as err:
             read_supervised_csv(path)
         assert err.value.line_number == 5
+
+
+# Both readers parse with numpy first and hand a file to the line parser when
+# numpy refuses it, warns about it or a column check fails.  These pin that
+# every file goes on to give the line parser's columns or its line-numbered
+# error.
+
+BANDIT_ROWS = ["10,0.5,3,0.25,-1", "-2.5,3,1,0.5,"]
+SUPERVISED_ROWS = ["10,0.5,3", "-2.5,3,1"]
+# spellings float()/int() accept and numpy refuses: an underscore, Unicode
+# digits (U+0663 is 3) and a whitespace-only line
+NUMPY_REFUSES = [
+    ("feature 1_0", 0, "10,", "1_0,"),
+    ("Unicode digit feature", 1, ",3,", ",٣,"),
+    ("Unicode digit action or label", 0, ",3", ",٣"),
+]
+
+
+def _respell(rows, row, plain, spelling):
+    assert plain in rows[row]
+    return [r.replace(plain, spelling, 1) if i == row else r for i, r in enumerate(rows)]
+
+
+def _whitespace_line(rows):
+    return [rows[0], " \t ", *rows[1:]]
+
+
+def _write(path, header, rows):
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+class TestBanditCsvSpellings:
+    HEADER = "x0,x1,action,propensity,reward"
+
+    def read(self, tmp_path, rows):
+        return read_bandit_csv(_write(tmp_path / "log.csv", self.HEADER, rows))
+
+    REFUSED = NUMPY_REFUSES + [("propensity 0.2_5", 0, ",0.25,", ",0.2_5,")]
+
+    @pytest.mark.parametrize("what, row, plain, spelling", REFUSED,
+                             ids=[case[0] for case in REFUSED])
+    def test_spellings_numpy_refuses_give_the_plain_columns(self, tmp_path, what, row,
+                                                            plain, spelling):
+        expected = self.read(tmp_path, BANDIT_ROWS)
+        got = self.read(tmp_path, _respell(BANDIT_ROWS, row, plain, spelling))
+        for a, b in zip(got, expected):
+            assert_same_rows(a, b)
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        expected = self.read(tmp_path, BANDIT_ROWS)
+        for a, b in zip(self.read(tmp_path, _whitespace_line(BANDIT_ROWS)), expected):
+            assert_same_rows(a, b)
+
+    def test_float_spelled_action_rejected_with_line_number(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="line 3: .*'3.0'") as err:
+            self.read(tmp_path, ["1,2,0,0.5,-1", "1,2,3.0,0.5,-1", "1,2,0,0.5,"])
+        assert err.value.line_number == 3
+
+    def test_header_only_file_gives_empty_logs(self, tmp_path):
+        S, S_u = self.read(tmp_path, [])
+        for log in (S, S_u):
+            assert len(log) == 0 and log.action_count == 0
+            assert log.contexts.shape == (0, 2)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_row_file_gives_one_row_arrays(self, tmp_path, d):
+        header = ",".join([f"x{i}" for i in range(d)] + ["action", "propensity", "reward"])
+        path = _write(tmp_path / "log.csv", header, [",".join(["0.5"] * d + ["2", "0.25", ""])])
+        S, S_u = read_bandit_csv(path)
+        assert len(S) == 0 and S_u.contexts.shape == (1, d) and S_u.action_count == 3
+        assert S_u.actions.tolist() == [2] and S_u.propensities.tolist() == [0.25]
+
+    def test_bad_propensity_on_the_last_of_1000_rows_reports_its_line(self, tmp_path):
+        rows = [f"{i},{i % 3},0.5,{-(i % 2)}" for i in range(999)] + ["1,0,1.5,-1"]
+        path = _write(tmp_path / "log.csv", "x0,action,propensity,reward", rows)
+        with pytest.raises(DatasetFormatError, match=r"propensity must be in \(0, 1\], got 1.5"
+                           ) as err:
+            read_bandit_csv(path)
+        assert err.value.line_number == 1001
+
+
+class TestSupervisedCsvSpellings:
+    HEADER = "x0,x1,label"
+
+    def read(self, tmp_path, rows):
+        return read_supervised_csv(_write(tmp_path / "sup.csv", self.HEADER, rows))
+
+    @staticmethod
+    def assert_same(a, b):
+        for x, y in ((a.features, b.features), (a.labels, b.labels)):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert np.array_equal(x.view(np.uint8), y.view(np.uint8))
+
+    @pytest.mark.parametrize("what, row, plain, spelling", NUMPY_REFUSES,
+                             ids=[case[0] for case in NUMPY_REFUSES])
+    def test_spellings_numpy_refuses_give_the_plain_columns(self, tmp_path, what, row,
+                                                            plain, spelling):
+        expected = self.read(tmp_path, SUPERVISED_ROWS)
+        self.assert_same(self.read(tmp_path, _respell(SUPERVISED_ROWS, row, plain, spelling)),
+                         expected)
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        expected = self.read(tmp_path, SUPERVISED_ROWS)
+        self.assert_same(self.read(tmp_path, _whitespace_line(SUPERVISED_ROWS)), expected)
+
+    def test_float_spelled_label_rejected_with_line_number(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="line 3: .*'3.0'") as err:
+            self.read(tmp_path, ["1,2,0", "1,2,3.0", "1,2,1"])
+        assert err.value.line_number == 3
+
+    def test_header_only_file_gives_empty_dataset(self, tmp_path):
+        ds = self.read(tmp_path, [])
+        assert len(ds) == 0 and ds.features.shape == (0, 2) and ds.num_classes == 0
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_row_file_gives_one_row_arrays(self, tmp_path, d):
+        header = ",".join([f"x{i}" for i in range(d)] + ["label"])
+        path = _write(tmp_path / "sup.csv", header, [",".join(["0.5"] * d + ["4"])])
+        ds = read_supervised_csv(path)
+        assert ds.features.shape == (1, d) and ds.labels.tolist() == [4]
+
+    def test_columns_are_contiguous_and_not_views_of_the_parsed_rows(self, tmp_path):
+        ds = self.read(tmp_path, SUPERVISED_ROWS)
+        for column in (ds.features, ds.labels):
+            assert column.flags.c_contiguous
+            assert column.base is None or column.base.dtype.names is None
+
+    def test_negative_label_on_the_last_of_1000_rows_reports_its_line(self, tmp_path):
+        rows = [f"{i},{i / 7},{i % 4}" for i in range(999)] + ["1,2,-1"]
+        with pytest.raises(DatasetFormatError, match="negative label -1") as err:
+            self.read(tmp_path, rows)
+        assert err.value.line_number == 1001
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 3))
+        # finite doubles, subnormals and both zeros included
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        ds = SupervisedDataset(
+            data.draw(arrays(float, (n, d),
+                             elements=finite | st.sampled_from([0.0, -0.0, 5e-324]))),
+            data.draw(arrays(np.int64, n, elements=st.integers(0, 2**63 - 1))),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sup.csv"
+            write_supervised_csv(path, ds)
+            out = read_supervised_csv(path)
+        self.assert_same(out, ds)

@@ -51,6 +51,12 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(dim=0)
 
+    @pytest.mark.parametrize("field", ["noise", "separation"])
+    def test_nan_noise_or_separation_rejected(self, field):
+        # unchecked, a sweep fails every trained cell as diverged at step 0
+        with pytest.raises(ValueError, match="separation and noise must be nonnegative"):
+            SyntheticSpec(**{field: float("nan")})
+
 
 class TestEvaluatePolicy:
     def test_uniform_policy_hand_value(self):

@@ -260,6 +260,11 @@ class TestTrainerContracts:
         with pytest.raises(ValueError, match=rf"{floor} must be in \[0, 1\], got {bad}"):
             TrainConfig(**{floor: bad})
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1])
+    def test_alpha_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"alpha must be in \[0, 1\], got {bad}"):
+            TrainConfig(alpha=bad)
+
     def test_seed_determinism(self):
         S, S_u, init = self.make_setup()
         p1, _ = train_wce_crm(S, S_u, self.cfg(), init)

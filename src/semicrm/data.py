@@ -251,10 +251,10 @@ def _finite_features(feats: array, linenos: array, d: int) -> np.ndarray:
 def _numpy_columns(path, d: int, tail: list, converters=None) -> list | None:
     """The features, then the ``tail`` fields, of every row after the header
     as contiguous arrays from one ``np.loadtxt`` parse.  None sends the file to
-    the line parser: when numpy refuses or warns (its grammar is stricter than
-    ``float()``/``int()``; numpy 1.x only warns on an int written as a float
-    and on a file with no rows), or when a feature is not finite or an action
-    or label negative, so the error is reported on its line."""
+    the line parser: when numpy refuses it or warns (numpy's grammar is
+    stricter than ``float()``/``int()``; a file with no rows warns, and numpy
+    1.x only warns on an int written as a float), or when a feature is not
+    finite or an action or label negative, so the error gets its line."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -352,4 +352,6 @@ def read_supervised_csv(path) -> SupervisedDataset:
     lines = _read_lines(path)
     d = _header(lines, ["label"])
     columns = _numpy_columns(path, d, [("label", np.int64)])
-    return SupervisedDataset(*(columns if columns is not None else _supervised_lines(lines, d)))
+    if columns is None:
+        columns = _supervised_lines(lines, d)
+    return SupervisedDataset(*columns)

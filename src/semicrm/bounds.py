@@ -191,10 +191,14 @@ class BoundInputs:
         return self.w_m * self.b_u**2 / 2.0
 
 
-def var_upper_kl(inputs: BoundInputs, D: float, D_r: float) -> float:
-    """KL/reverse-KL variance upper bound sqrt(2 sigma^2 min(D, D_r)) + b_u^2 - c_l^2."""
+def _check_divergences(D: float, D_r: float) -> None:
     if D < 0 or D_r < 0:
         raise ValueError("divergences must be nonnegative")
+
+
+def var_upper_kl(inputs: BoundInputs, D: float, D_r: float) -> float:
+    """KL/reverse-KL variance upper bound sqrt(2 sigma^2 min(D, D_r)) + b_u^2 - c_l^2."""
+    _check_divergences(D, D_r)
     sigma = inputs.effective_sigma
     return float(np.sqrt(2.0 * sigma**2 * min(D, D_r)) + inputs.b_u**2 - inputs.c_l**2)
 
@@ -216,6 +220,7 @@ def true_risk_bound(R_hat: float, inputs: BoundInputs, D: float, D_r: float) -> 
 
     R_hat + w_m log(1/delta)/(3n) + sqrt((w_m sqrt(2 min(D, D_r)) + 2) log(1/delta)/n)
     """
+    _check_divergences(D, D_r)
     log_term = np.log(1.0 / inputs.delta)
     n = inputs.n
     return float(
@@ -227,6 +232,7 @@ def true_risk_bound(R_hat: float, inputs: BoundInputs, D: float, D_r: float) -> 
 
 def risk_diff_bound(D: float, D_r: float) -> float:
     """Bound on |R(target) - R(logging)|: min(sqrt(D/2), sqrt(D_r/2))."""
+    _check_divergences(D, D_r)
     return float(min(np.sqrt(D / 2.0), np.sqrt(D_r / 2.0)))
 
 

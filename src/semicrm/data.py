@@ -280,7 +280,7 @@ def _bandit_lines(lines, d: int) -> tuple:
     every line-numbered error."""
     # flat float arrays rather than one list per row: 8 bytes a value
     feats, actions, propensities, rewards = array("d"), [], array("d"), array("d")
-    linenos = array("l")
+    linenos, int64_max = array("l"), np.iinfo(np.int64).max
     for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != d + 3:
@@ -293,6 +293,8 @@ def _bandit_lines(lines, d: int) -> tuple:
             raise DatasetFormatError(lineno, str(exc)) from exc
         if action < 0:
             raise DatasetFormatError(lineno, f"negative action index {action}")
+        if action > int64_max:
+            raise DatasetFormatError(lineno, f"action index {action} does not fit in int64")
         if not 0.0 < propensity <= 1.0:
             raise DatasetFormatError(lineno, f"propensity must be in (0, 1], got {propensity}")
         try:
@@ -332,7 +334,7 @@ def write_supervised_csv(path, ds: SupervisedDataset) -> None:
 
 def _supervised_lines(lines, d: int) -> tuple:
     """The supervised format's line parser (see ``_bandit_lines``)."""
-    feats, labels, linenos = array("d"), [], array("l")
+    feats, labels, linenos, int64_max = array("d"), [], array("l"), np.iinfo(np.int64).max
     for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != d + 1:
@@ -344,6 +346,8 @@ def _supervised_lines(lines, d: int) -> tuple:
             raise DatasetFormatError(lineno, str(exc)) from exc
         if labels[-1] < 0:
             raise DatasetFormatError(lineno, f"negative label {labels[-1]}")
+        if labels[-1] > int64_max:
+            raise DatasetFormatError(lineno, f"label {labels[-1]} does not fit in int64")
         linenos.append(lineno)
     return _finite_features(feats, linenos, d), np.array(labels)
 

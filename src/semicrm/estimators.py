@@ -113,10 +113,11 @@ def column_term_values(policy, contexts, actions, propensities, rewards, parts, 
     if gradient:
         scores, cache = policy.forward(contexts)
         pi, log_pi = softmax_and_log_softmax(scores, actions)
-    else:  # in blocks of rows, so that the memory it takes does not grow with the log
-        blocks = np.array_split(np.arange(len(actions)), -(-len(actions) // VALUE_BLOCK))
-        log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(contexts[b])[0],
-                                                         actions[b])[1] for b in blocks])
+    else:  # in views of row blocks, so that the memory it takes does not grow with the log
+        count = -(-len(actions) // VALUE_BLOCK)
+        blocks = zip(np.array_split(contexts, count), np.array_split(actions, count))
+        log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(x)[0], a)[1]
+                                 for x, a in blocks])
     factors = np.zeros(len(actions))
     values = []
     for term, part, scale, floor in parts:

@@ -103,9 +103,12 @@ class SoftmaxPolicy(_FlatParams):
             raise DimensionMismatchError("context dimension", self.input_dim, X.shape[-1])
         h, cache = X, [X]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
+            h = h @ w  # the one fresh array per layer; bias and ReLU act on it in place
+            h += b
+            np.maximum(h, 0.0, out=h)
             cache.append(h)
-        scores = h @ self.weights[-1] + self.biases[-1]
+        scores = h @ self.weights[-1]
+        scores += self.biases[-1]
         return scores, cache
 
     def backward(self, cache: list[np.ndarray], dscores: np.ndarray) -> PolicyGradient:
@@ -121,7 +124,8 @@ class SoftmaxPolicy(_FlatParams):
             np.matmul(cache[layer].T, delta, out=grad.weights[layer])
             delta.sum(axis=0, out=grad.biases[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (cache[layer] > 0.0)
+                delta = delta @ self.weights[layer].T
+                delta *= cache[layer] > 0.0
         return grad
 
     # ---- distributions -----------------------------------------------------
@@ -148,11 +152,13 @@ class SoftmaxPolicy(_FlatParams):
 
 
 def _softmax_body(scores: np.ndarray):
-    """The one softmax body: softmax(scores), the scores less their row max (folded
-    over the k columns, skipping numpy's loop over short rows) and the exp's row sums."""
+    """The one softmax body: softmax(scores), the scores less their row max and the
+    exp's row sums, both folded over the k columns, skipping numpy's loop over short rows."""
     shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
     pi = np.exp(shifted)
-    norm = pi.sum(axis=1)
+    # numpy sums a row of fewer than 8 left to right, as the fold does; from 8 on its
+    # pairwise sum keeps eight accumulators, whose bits the fold would not match
+    norm = functools.reduce(np.add, pi.T) if pi.shape[1] < 8 else pi.sum(axis=1)
     pi /= norm[:, None]  # in place: no second (N, k) array
     return pi, shifted, norm
 

@@ -151,6 +151,9 @@ class TestVarianceBounds:
             assert var_lower_kl(inputs, D) <= exact_weighted_variance(env) + 1e-12
 
 
+NEGATIVE_DIVERGENCES = [(-1.12, 3.0), (3.0, -1.12), (-0.5, -0.5)]
+
+
 class TestTrueRiskBound:
     def test_hand_value(self):
         inputs = BoundInputs(w_m=1.0, n=100, delta=0.05)
@@ -168,6 +171,11 @@ class TestTrueRiskBound:
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             true_risk_bound(0.0, BoundInputs(delta=1.5), 0.0, 0.0)
+
+    @pytest.mark.parametrize("D, D_r", NEGATIVE_DIVERGENCES)
+    def test_negative_divergence_rejected(self, D, D_r):
+        with pytest.raises(ValueError, match="divergences must be nonnegative"):
+            true_risk_bound(-0.5, BoundInputs(w_m=10, n=100), D, D_r)
 
 
 class TestBoundInputs:
@@ -199,6 +207,11 @@ class TestRiskDiffBound:
             D, D_r, _ = exact_divergences(env)
             gap = abs(exact_true_risk(env, "target") - exact_true_risk(env, "logging"))
             assert gap <= risk_diff_bound(D, D_r) + 1e-12
+
+    @pytest.mark.parametrize("D, D_r", NEGATIVE_DIVERGENCES)
+    def test_negative_divergence_rejected(self, D, D_r):
+        with pytest.raises(ValueError, match="divergences must be nonnegative"):
+            risk_diff_bound(D, D_r)
 
 
 class TestExpectationGapBound:

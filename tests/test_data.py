@@ -385,6 +385,11 @@ class TestBanditCsvSpellings:
             self.read(tmp_path, ["1,2,0,0.5,-1", "1,2,3.0,0.5,-1", "1,2,0,0.5,"])
         assert err.value.line_number == 3
 
+    def test_action_beyond_int64_rejected_with_line_number(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="line 3: .*99999999999999999999") as err:
+            self.read(tmp_path, ["1,2,0,0.5,-1", "1,2,99999999999999999999,0.5,-1"])
+        assert err.value.line_number == 3
+
     def test_header_only_file_gives_empty_logs(self, tmp_path):
         S, S_u = self.read(tmp_path, [])
         for log in (S, S_u):
@@ -436,6 +441,11 @@ class TestSupervisedCsvSpellings:
         with pytest.raises(DatasetFormatError, match="line 3: .*'3.0'") as err:
             self.read(tmp_path, ["1,2,0", "1,2,3.0", "1,2,1"])
         assert err.value.line_number == 3
+
+    def test_label_beyond_int64_rejected_with_line_number(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match="line 4: .*99999999999999999999") as err:
+            self.read(tmp_path, ["1,2,0", "", "1,2,99999999999999999999"])
+        assert err.value.line_number == 4
 
     def test_header_only_file_gives_empty_dataset(self, tmp_path):
         ds = self.read(tmp_path, [])

@@ -18,6 +18,8 @@ from semicrm.bounds import (
     random_environment,
 )
 from semicrm.estimators import (
+    ROW_TERMS,
+    column_term_values,
     combined_objective,
     ips_risk,
     kl_regularizer,
@@ -28,7 +30,7 @@ from semicrm.estimators import (
     truncated_ips_risk,
     wce_regularizer,
 )
-from semicrm.policy import SoftmaxPolicy
+from semicrm.policy import SoftmaxPolicy, softmax_and_log_softmax
 from semicrm.rng import make_rng
 
 
@@ -353,6 +355,33 @@ class TestTermValues:
                 objective_parts("WCE", alpha, len(S), 0.05, 0.05)
         with pytest.raises(ValueError, match="regularizer"):
             objective_parts("CHI2", 0.5, len(S), 0.05, 0.05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.sampled_from([7, 512, estimators.VALUE_BLOCK]),
+           st.sampled_from(["WCE", "KL", "RKL"]), st.integers(0, 2**32 - 1))
+    def test_value_blocks_are_views_with_the_bits_of_gathered_blocks(self, n, block,
+                                                                     regularizer, seed):
+        rng = make_rng(seed)
+        contexts, actions = rng.standard_normal((n, 4)), rng.integers(0, 5, n)
+        propensities, rewards = rng.uniform(0.05, 1.0, n), rng.uniform(-1.0, 0.0, n)
+        policy = SoftmaxPolicy.create(4, 5, (20, 20), rng)
+        parts = objective_parts(regularizer, 0.6, n // 3, 0.05, 0.05)
+        # the gathered form: one index array per block of np.array_split
+        blocks = np.array_split(np.arange(n), -(-n // block))
+        log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(contexts[b])[0],
+                                                         actions[b])[1] for b in blocks])
+        want = [float(np.sum(ROW_TERMS[term](log_pi[part], actions[part], propensities[part],
+                                             rewards[part], floor)[0]))
+                for term, part, _, floor in parts]
+        forward, seen = policy.forward, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policy, "forward", lambda X: seen.append(X) or forward(X))
+            mp.setattr(estimators, "VALUE_BLOCK", block)
+            values, _ = column_term_values(policy, contexts, actions, propensities,
+                                           rewards, parts)
+        assert [len(X) for X in seen] == [len(b) for b in blocks]
+        assert all(X.base is contexts for X in seen)  # views, not gathered copies
+        assert np.array(values).tobytes() == np.array(want).tobytes()
 
     def test_value_path_runs_in_row_blocks(self, monkeypatch):
         # 70 rows in blocks of at most 7, one straddling the known/unknown boundary

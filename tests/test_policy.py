@@ -9,6 +9,7 @@ from semicrm.policy import (
     SoftmaxPolicy,
     load_policy,
     save_policy,
+    _softmax_body,
     softmax,
     softmax_and_log_softmax,
 )
@@ -44,6 +45,40 @@ def reference_log_softmax(scores, actions):
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     return shifted[np.arange(len(actions)), actions] - log_norm
+
+
+def reference_forward(policy, X):
+    """``forward`` written out of place, a fresh array for every bias add and
+    ReLU: the bits its in-place kernels must reproduce."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    h, cache = X, [X]
+    for w, b in zip(policy.weights[:-1], policy.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        cache.append(h)
+    return h @ policy.weights[-1] + policy.biases[-1], cache
+
+
+def reference_backward(policy, cache, dscores):
+    """``backward`` with the ReLU mask applied out of place."""
+    grad = PolicyGradient([np.empty_like(w) for w in policy.weights],
+                          [np.empty_like(b) for b in policy.biases])
+    delta = dscores
+    for layer in range(len(policy.weights) - 1, -1, -1):
+        np.matmul(cache[layer].T, delta, out=grad.weights[layer])
+        delta.sum(axis=0, out=grad.biases[layer])
+        if layer > 0:
+            delta = (delta @ policy.weights[layer].T) * (cache[layer] > 0.0)
+    return grad
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def flatten(grad: PolicyGradient) -> np.ndarray:
@@ -124,6 +159,62 @@ class TestProbs:
         assert pi.tobytes() == reference_softmax(scores).tobytes()
         assert softmax(scores).tobytes() == reference_softmax(scores).tobytes()
         assert log_pi.tobytes() == reference_log_softmax(scores, actions).tobytes()
+
+
+KERNEL_CASES = st.tuples(
+    st.sampled_from([(), (1,), (20, 20)]),  # hidden widths
+    st.integers(1, 16),                     # k
+    st.integers(1, 3000),                   # n
+    st.integers(1, 12),                     # d
+    st.integers(0, 2**32 - 1),              # seed
+)
+
+
+def kernel_case(hidden, k, n, d, seed):
+    """A policy with nonzero biases, contexts and score gradients for one case."""
+    rng = make_rng(seed)
+    policy = SoftmaxPolicy.create(d, k, hidden, rng)
+    policy.flat[:] = rng.standard_normal(policy.flat.size)
+    return policy, 2.0 * rng.standard_normal((n, d)), rng.standard_normal((n, k))
+
+
+class TestKernelBits:
+    """The in-place forward and backward and the folded row sum give the bits
+    of the out-of-place expressions they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(KERNEL_CASES, st.booleans())
+    def test_forward_matches_the_out_of_place_form(self, case, stacked):
+        policy, X, _ = kernel_case(*case)
+        if stacked:  # (n, 1, d), as probs() passes it
+            X = X[:, None, :]
+        X_before = X.copy()
+        scores, cache = policy.forward(read_only(X))
+        want_scores, want_cache = reference_forward(policy, X_before)
+        assert same_bits(X, X_before)
+        assert same_bits(scores, want_scores) and len(cache) == len(want_cache)
+        assert all(same_bits(a, b) for a, b in zip(cache, want_cache))
+
+    @settings(max_examples=60, deadline=None)
+    @given(KERNEL_CASES)
+    def test_backward_matches_the_out_of_place_form(self, case):
+        policy, X, dscores = kernel_case(*case)
+        _, cache = policy.forward(X)
+        saved = [a.copy() for a in cache], dscores.copy()
+        grad = policy.backward([read_only(a) for a in cache], read_only(dscores))
+        assert same_bits(dscores, saved[1])
+        assert all(same_bits(a, b) for a, b in zip(cache, saved[0]))
+        assert same_bits(grad.flat, reference_backward(policy, saved[0], saved[1]).flat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 3000), st.sampled_from([0.1, 3.0, 40.0]),
+           st.integers(0, 2**32 - 1))
+    def test_row_sum_matches_numpy_for_every_k(self, k, n, scale, seed):
+        scores = scale * make_rng(seed).standard_normal((n, k))
+        pi, shifted, norm = _softmax_body(scores)
+        assert same_bits(shifted, scores - scores.max(axis=1, keepdims=True))
+        assert same_bits(norm, np.exp(shifted).sum(axis=1))
+        assert same_bits(pi, reference_softmax(scores))
 
 
 class TestGradScalar:

@@ -289,6 +289,23 @@ class TestTrainerContracts:
         combo = 0.3 * deltas[1.0] + 0.7 * deltas[0.0]
         assert np.max(np.abs(deltas[0.3] - combo)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["WCE", "KL", "PR"]), st.floats(0.0, 1.0), st.integers(1, 20),
+           st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_one_step_update_is_linear_in_alpha(self, algorithm, alpha, batch_known,
+                                                batch_unknown, seed):
+        # one step on one minibatch (the draw depends on the seed, not on alpha)
+        S, S_u = random_batches(seed, n=20, m=30)
+        init = SoftmaxPolicy.create(3, 3, (6,), make_rng(seed + 1))
+        train = {"WCE": train_wce_crm, "KL": train_kl_crm, "PR": train_pr_crm}[algorithm]
+        theta0, deltas = flat_params(init), {}
+        for a in (0.0, 1.0, alpha):
+            cfg = self.cfg(alpha=a, epochs=1, batch_known=batch_known,
+                           batch_unknown=batch_unknown, seed=seed)
+            deltas[a] = flat_params(train(S, S_u, cfg, init)[0]) - theta0
+        combo = alpha * deltas[1.0] + (1.0 - alpha) * deltas[0.0]
+        assert np.max(np.abs(deltas[alpha] - combo)) < 1e-12
+
     def test_empty_dataset_errors(self):
         S, S_u, init = self.make_setup(3)
         with pytest.raises(ValueError):

@@ -7,9 +7,9 @@ from semicrm.policy import (
     DimensionMismatchError,
     PolicyGradient,
     SoftmaxPolicy,
+    _softmax_body,
     load_policy,
     save_policy,
-    _softmax_body,
     softmax,
     softmax_and_log_softmax,
 )

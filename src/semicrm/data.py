@@ -18,7 +18,10 @@ class BanditLog:
 
     A reward-free row has reward NaN; a pseudo-reward is written into the same
     column.  ``action_count`` is the size of the action space the log was
-    drawn over, whether or not every action occurs in it.
+    drawn over, whether or not every action occurs in it.  Each column is a
+    read-only view, so a log's rows cannot change through it; the arrays it
+    was built from must not change afterwards either, as :meth:`memo` relies
+    on the rows staying put.
     """
 
     contexts: np.ndarray      # (n, d)
@@ -28,10 +31,10 @@ class BanditLog:
     action_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "contexts", np.asarray(self.contexts, dtype=float))
-        object.__setattr__(self, "actions", np.asarray(self.actions, dtype=int))
-        object.__setattr__(self, "propensities", np.asarray(self.propensities, dtype=float))
-        object.__setattr__(self, "rewards", np.asarray(self.rewards, dtype=float))
+        for name, dtype in (("contexts", float), ("actions", int),
+                            ("propensities", float), ("rewards", float)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        object.__setattr__(self, "_memo", None)
         n = len(self.actions)
         if self.contexts.ndim != 2 or len(self.contexts) != n or any(
             column.shape != (n,) for column in (self.actions, self.propensities, self.rewards)
@@ -53,6 +56,14 @@ class BanditLog:
         """Alias of ``propensities``: ``bench/workloads.py`` looks a column up
         as its field name plus "s".  Remove it once the benchmark does not."""
         return self.propensities
+
+    def memo(self, key, compute):
+        """``compute()``, kept for the next call with an equal ``key``.  The log
+        keeps one (key, value) pair and replaces it on a miss, so the key must
+        hold everything the value depends on besides the log's rows."""
+        if self._memo is None or self._memo[0] != key:
+            object.__setattr__(self, "_memo", (key, compute()))
+        return self._memo[1]
 
     def take(self, idx) -> "BanditLog":
         """The rows at ``idx`` (indices or a boolean mask), in that order."""
@@ -77,16 +88,17 @@ class BanditLog:
         return replace(self, rewards=np.broadcast_to(rewards, len(self)).astype(float))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SupervisedDataset:
-    """Classification data (features, integer labels) used to synthesize logs."""
+    """Classification data (features, integer labels) used to synthesize logs;
+    its columns are read-only views, as a :class:`BanditLog`'s are."""
 
     features: np.ndarray  # (N, d)
     labels: np.ndarray    # (N,)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        object.__setattr__(self, "features", _read_only(self.features, float))
+        object.__setattr__(self, "labels", _read_only(self.labels, int))
         if self.features.ndim != 2 or len(self.labels) != len(self.features):
             raise ValueError("features must be (N, d) with one label per row")
 
@@ -103,6 +115,14 @@ class SupervisedDataset:
 
     def subset(self, idx: np.ndarray) -> "SupervisedDataset":
         return SupervisedDataset(self.features[idx], self.labels[idx])
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as an array of ``dtype``; the array it views,
+    if it is the caller's, stays writable."""
+    column = np.asarray(values, dtype=dtype).view()
+    column.flags.writeable = False
+    return column
 
 
 class DatasetFormatError(ValueError):

@@ -25,6 +25,16 @@ def check_floor(name: str, floor: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {floor}")
 
 
+def check_nonempty(alpha: float, S: BanditLog, S_u: BanditLog, pooled: bool = False) -> None:
+    """Reject a term with positive weight and no rows to cover: IPS on the
+    rewarded rows S, or the regularizer on the reward-free rows S_u (or,
+    pooled, on S and S_u together)."""
+    if alpha > 0.0 and not len(S):
+        raise ValueError("alpha > 0 requires a nonempty known-reward dataset")
+    if alpha < 1.0 and not (len(S_u) or (pooled and len(S))):
+        raise ValueError("alpha < 1 requires a nonempty unknown-reward dataset")
+
+
 def _group_weights(actions: np.ndarray) -> np.ndarray:
     """Per-row weight 1/m_[a], counting m_[a] over the given rows only."""
     return 1.0 / np.bincount(actions)[actions]
@@ -101,23 +111,47 @@ def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts,
     """The unscaled value of each part over ``rows`` from one forward pass and,
     with ``gradient``, the gradient of sum_j scale_j * value_j (else None): a
     factor f moves the scores of its row by f (e_a - pi(.|x)), so only the
-    gradient needs the full softmax and the backward pass."""
-    return column_term_values(policy, rows.contexts, rows.actions, rows.propensities,
-                              rows.rewards, parts, gradient)
+    gradient needs the full softmax and the backward pass.
+
+    Without a gradient, log pi(a_i|x_i) comes from the log's memo, so scoring
+    one policy with several estimators on one log takes one forward pass.  Its
+    key holds everything log pi depends on besides the rows: the layer shapes,
+    the parameter bytes and the block size."""
+    log_pi = None
+    if not gradient and len(rows):  # an empty log is rejected below
+        key = (tuple(w.shape for w in policy.weights), policy.flat.tobytes(), VALUE_BLOCK)
+        log_pi = rows.memo(key, lambda: _value_log_pi(policy, rows.contexts, rows.actions))
+    return _term_values(policy, rows.contexts, rows.actions, rows.propensities,
+                        rows.rewards, parts, gradient, log_pi)
 
 
 def column_term_values(policy, contexts, actions, propensities, rewards, parts, gradient=False):
-    """:func:`term_values` over the four columns of a log, gathered by the caller."""
+    """:func:`term_values` over the four columns of a log, gathered by the caller;
+    nothing is kept between calls."""
+    return _term_values(policy, contexts, actions, propensities, rewards, parts, gradient)
+
+
+def _value_log_pi(policy, contexts, actions) -> np.ndarray:
+    """log pi(a_i|x_i), read-only, from forward passes over views of row blocks,
+    so that the memory it takes does not grow with the log."""
+    count = -(-len(actions) // VALUE_BLOCK)
+    blocks = zip(np.array_split(contexts, count), np.array_split(actions, count))
+    log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(x)[0], a)[1]
+                             for x, a in blocks])
+    log_pi.flags.writeable = False
+    return log_pi
+
+
+def _term_values(policy, contexts, actions, propensities, rewards, parts, gradient,
+                 log_pi=None):
+    """The body of both; ``log_pi``, if given, serves a call without a gradient."""
     if not len(actions):
         raise ValueError("empty log")
     if gradient:
         scores, cache = policy.forward(contexts)
         pi, log_pi = softmax_and_log_softmax(scores, actions)
-    else:  # in views of row blocks, so that the memory it takes does not grow with the log
-        count = -(-len(actions) // VALUE_BLOCK)
-        blocks = zip(np.array_split(contexts, count), np.array_split(actions, count))
-        log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(x)[0], a)[1]
-                                 for x, a in blocks])
+    elif log_pi is None:
+        log_pi = _value_log_pi(policy, contexts, actions)
     factors = np.zeros(len(actions))
     values = []
     for term, part, scale, floor in parts:
@@ -180,7 +214,9 @@ def combined_objective(
     variant: str = "WCE",
 ) -> float:
     """alpha * truncated IPS risk on S + (1 - alpha) * regularizer on S_u."""
-    return _estimate(policy, S.concat(S_u), objective_parts(variant, alpha, len(S), zeta, tau))
+    parts = objective_parts(variant, alpha, len(S), zeta, tau)
+    check_nonempty(alpha, S, S_u)
+    return _estimate(policy, S.concat(S_u), parts)
 
 
 def pseudo_reward_objective(

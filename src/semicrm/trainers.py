@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BanditLog
-from .estimators import check_floor, column_term_values, objective_parts
+from .estimators import check_floor, check_nonempty, column_term_values, objective_parts
 from .policy import DimensionMismatchError, SoftmaxPolicy
 from .rng import make_rng
 
@@ -107,10 +107,7 @@ def _descend(
     :func:`objective_parts`.  Raises :class:`TrainingDiverged` at the first
     step whose term values or gradient norm are not finite.
     """
-    if cfg.alpha > 0.0 and not len(S):
-        raise ValueError("alpha > 0 requires a nonempty known-reward dataset")
-    if cfg.alpha < 1.0 and not (len(S_u) or (pooled and len(S))):
-        raise ValueError("alpha < 1 requires a nonempty unknown-reward dataset")
+    check_nonempty(cfg.alpha, S, S_u, pooled)
     if init.action_count < S.action_count:
         raise DimensionMismatchError("initial policy action count",
                                      S.action_count, init.action_count)

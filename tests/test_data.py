@@ -1,5 +1,5 @@
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,25 @@ def per_row_to_bandit(ds, policy, rng):
         a = int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, len(p) - 1))
         actions[i], propensities[i] = a, p[a]
     return actions, propensities
+
+
+class TestSupervisedDataset:
+    def test_fields_cannot_be_reassigned(self):
+        ds = label_concentrated_dataset()
+        with pytest.raises(FrozenInstanceError):
+            ds.features = np.zeros((3, 2))
+
+    def test_columns_are_read_only(self):
+        ds = label_concentrated_dataset()
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 1.0
+
+    def test_the_arrays_it_is_built_from_stay_writable(self):
+        features, labels = np.zeros((2, 2)), np.array([0, 1])
+        SupervisedDataset(features, labels)
+        features[0, 0], labels[0] = 1.0, 1
 
 
 class TestSupervisedToBandit:

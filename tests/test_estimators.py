@@ -12,6 +12,7 @@ from conftest import (
 )
 
 from semicrm import estimators
+from semicrm.data import BanditLog
 from semicrm.bounds import (
     exact_divergences,
     exact_true_risk,
@@ -30,7 +31,13 @@ from semicrm.estimators import (
     truncated_ips_risk,
     wce_regularizer,
 )
-from semicrm.policy import SoftmaxPolicy, softmax_and_log_softmax
+from semicrm.policy import (
+    PolicyGradient,
+    SoftmaxPolicy,
+    load_policy,
+    save_policy,
+    softmax_and_log_softmax,
+)
 from semicrm.rng import make_rng
 
 
@@ -214,8 +221,32 @@ class TestCombinedObjective:
         with pytest.raises(ValueError):
             combined_objective(policy, S, S_u, 1.2)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_empty_rewarded_rows_rejected_when_ips_counts(self, setup, alpha):
+        # an empty IPS part summed to 0.0 instead of failing as truncated_ips_risk does
+        policy, S, S_u = setup
+        with pytest.raises(ValueError, match="alpha > 0 requires a nonempty known-reward"):
+            combined_objective(policy, S.take([]), S_u, alpha)
+
+    def test_empty_reward_free_rows_rejected_when_the_regularizer_counts(self, setup):
+        policy, S, S_u = setup
+        with pytest.raises(ValueError, match="alpha < 1 requires a nonempty unknown-reward"):
+            combined_objective(policy, S, S_u.take([]), 0.0)
+
+    def test_an_empty_part_with_zero_weight_is_allowed(self, setup):
+        policy, S, S_u = setup
+        assert combined_objective(policy, S, S_u.take([]), 1.0) == truncated_ips_risk(
+            policy, S, 0.0)
+        assert combined_objective(policy, S.take([]), S_u, 0.0) == wce_regularizer(policy, S_u)
+
 
 class TestPseudoRewardObjective:
+    def test_defined_without_rewarded_rows(self):
+        # the pooled IPS term covers S and the augmented rows, so S may be empty
+        aug = make_log([(np.zeros(2), 1, 0.5, -0.5)], 2)
+        got = pseudo_reward_objective(uniform_policy(2, 2), aug.take([]), aug, 1.0)
+        assert got == pytest.approx(-0.5, abs=1e-12)
+
     def test_zero_pseudo_rewards_alpha_one(self):
         S = make_log([([0.0, 0.0], 0, 0.5, -1.0)], 2)
         aug = make_log([(np.zeros(2), 1, 0.5, 0.0)], 2)
@@ -399,3 +430,120 @@ class TestTermValues:
         values, _ = term_values(policy, rows, parts)
         assert max(seen) <= 7 and sum(seen) == len(rows)
         assert values == pytest.approx(whole, rel=1e-12)
+
+
+def estimates(policy, S, S_u, floor):
+    """The four public estimates, bytes that a bit change anywhere would move."""
+    return np.array([truncated_ips_risk(policy, S, floor), kl_regularizer(policy, S_u, floor),
+                     rkl_regularizer(policy, S_u), wce_regularizer(policy, S_u, floor)]).tobytes()
+
+
+def fresh(log):
+    """A copy of ``log`` with the same rows and an empty memo."""
+    return log.take(np.arange(len(log)))
+
+
+class TestLogPiMemo:
+    @pytest.fixture
+    def forwarded(self, monkeypatch):
+        """The row count of every SoftmaxPolicy.forward call, in order."""
+        forward, rows = SoftmaxPolicy.forward, []
+        monkeypatch.setattr(SoftmaxPolicy, "forward",
+                            lambda self, X: rows.append(len(X)) or forward(self, X))
+        return rows
+
+    @pytest.fixture
+    def logs(self):
+        rng = make_rng(40)
+        S = make_log([(rng.standard_normal(2), int(rng.choice(3)),
+                       float(rng.uniform(0.05, 1.0)), float(rng.uniform(-1.0, 0.0)))
+                      for _ in range(25)], 3)
+        return S, random_unknowns(n=60, seed=41)
+
+    def test_regularizers_forward_the_log_once(self, logs, forwarded):
+        _, S_u = logs
+        policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(42))
+        kl_regularizer(policy, S_u, 0.1)
+        rkl_regularizer(policy, S_u)
+        wce_regularizer(policy, S_u, 0.1)
+        wce_regularizer(policy, S_u, 0.3)
+        assert sum(forwarded) == len(S_u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.data())
+    def test_estimates_have_the_bytes_of_a_memo_free_log(self, n, seed, data):
+        rng = make_rng(seed)
+        S = BanditLog(rng.standard_normal((n, 3)), rng.integers(0, 4, n),
+                      rng.uniform(0.05, 1.0, n), rng.uniform(-1.0, 0.0, n), 4)
+        S_u = S.with_rewards(np.nan)
+        policy = SoftmaxPolicy.create(3, 4, (6,), rng)
+        floors = data.draw(st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=1, max_size=3))
+        for floor in floors:  # repeated calls on S and S_u hit their memos
+            assert estimates(policy, S, S_u, floor) == estimates(policy, fresh(S), fresh(S_u),
+                                                                 floor)
+
+    def test_a_changed_policy_is_scored_anew(self, logs, forwarded):
+        S, S_u = logs
+        policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(43))
+        grad = PolicyGradient(policy.weights, policy.biases)
+        before = estimates(policy, S, S_u, 0.05)
+        policy.apply_update(grad, 0.5)
+        del forwarded[:]
+        after = estimates(policy, S, S_u, 0.05)
+        assert sum(forwarded) == len(S) + len(S_u)
+        assert after != before and after == estimates(policy, fresh(S), fresh(S_u), 0.05)
+        policy.weights[0][1, 2] += 0.25  # in place, through a view of flat
+        del forwarded[:]
+        written = estimates(policy, S, S_u, 0.05)
+        assert sum(forwarded) == len(S) + len(S_u)
+        assert written != after and written == estimates(policy, fresh(S), fresh(S_u), 0.05)
+
+    def test_policies_from_one_checkpoint_share_the_entry(self, logs, forwarded, tmp_path):
+        _, S_u = logs
+        save_policy(SoftmaxPolicy.create(2, 3, (3,), make_rng(44)), tmp_path / "p.policy")
+        first, second = load_policy(tmp_path / "p.policy"), load_policy(tmp_path / "p.policy")
+        value = wce_regularizer(first, S_u, 0.1)
+        assert wce_regularizer(second, S_u, 0.1) == value
+        assert sum(forwarded) == len(S_u)
+
+    def test_other_layer_shapes_with_the_same_bytes_miss(self, logs, forwarded):
+        _, S_u = logs
+        one = SoftmaxPolicy.create(2, 3, (3,), make_rng(45))
+        two = SoftmaxPolicy.create(2, 3, (2, 2), make_rng(46))
+        two.flat[:] = one.flat  # 21 parameters each
+        first = wce_regularizer(one, S_u, 0.1)
+        second = wce_regularizer(two, S_u, 0.1)
+        assert sum(forwarded) == 2 * len(S_u)
+        assert second != first and second == wce_regularizer(two, fresh(S_u), 0.1)
+
+    def test_another_block_size_misses(self, logs, forwarded, monkeypatch):
+        _, S_u = logs
+        policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(47))
+        kl_regularizer(policy, S_u, 0.1)
+        monkeypatch.setattr(estimators, "VALUE_BLOCK", 7)
+        del forwarded[:]
+        kl_regularizer(policy, S_u, 0.1)
+        assert max(forwarded) <= 7 and sum(forwarded) == len(S_u)
+
+    def test_columns_are_read_only(self, logs):
+        S, _ = logs
+        for name in ("contexts", "actions", "propensities", "rewards"):
+            column = getattr(S, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
+    def test_the_arrays_a_log_is_built_from_stay_writable(self):
+        contexts = np.zeros((2, 2))
+        BanditLog(contexts, [0, 1], [0.5, 0.5], [np.nan, np.nan], 2)
+        contexts[0, 0] = 1.0
+
+    def test_derived_logs_start_with_an_empty_memo(self, logs, forwarded):
+        S, S_u = logs
+        policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(48))
+        wce_regularizer(policy, S_u, 0.1)
+        wce_regularizer(policy, S, 0.1)
+        for derived in (S_u.take(slice(None)), S_u.concat(S_u.take([])),
+                        S_u.with_rewards(-0.5), S.with_rewards(np.nan)):
+            del forwarded[:]
+            wce_regularizer(policy, derived, 0.1)
+            assert sum(forwarded) == len(derived)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BanditLog
+from .data import BanditLog, write_lines
 
 
 @dataclass
@@ -315,8 +315,7 @@ def write_environment(path, env: DiscreteEnvironment) -> None:
         lines.append(name)
         for row in table:
             lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_environment(path) -> DiscreteEnvironment:

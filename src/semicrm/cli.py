@@ -20,6 +20,7 @@ from .data import (
     read_supervised_csv,
     supervised_to_bandit,
     write_bandit_csv,
+    write_lines,
     write_supervised_csv,
 )
 from .harness import (
@@ -118,11 +119,9 @@ def cmd_bounds(args):
     env = bounds_mod.read_environment(args.env)
     report = bounds_mod.bound_report(env, delta=args.delta, n=args.n)
     lines = [f"{key},{value:.17g}" for key, value in report.items()]
-    text = "\n".join(lines)
     if args.out is not None:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_lines(args.out, lines)
+    print("\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,12 +16,13 @@ from .policy import SoftmaxPolicy
 class BanditLog:
     """Logged bandit rows (x_i, a_i, p_i, r_i) as columns.
 
-    A reward-free row has reward NaN; a pseudo-reward is written into the same
-    column.  ``action_count`` is the size of the action space the log was
-    drawn over, whether or not every action occurs in it.  Each column is a
-    read-only view, so a log's rows cannot change through it; the arrays it
-    was built from must not change afterwards either, as :meth:`memo` relies
-    on the rows staying put.
+    Contexts are finite, propensities (the logging policy's probabilities) lie
+    in (0, 1] and rewards in [-1, 0]; a reward-free row has reward NaN, and a
+    pseudo-reward is written into the same column.  ``action_count`` is the
+    size of the action space the log was drawn over, whether or not every
+    action occurs in it.  Each column is a read-only view, so a log's rows
+    cannot change through it; the arrays it was built from must not change
+    afterwards either, as :meth:`memo` relies on the rows staying put.
     """
 
     contexts: np.ndarray      # (n, d)
@@ -43,6 +44,12 @@ class BanditLog:
                              "and reward per row")
         if n and not 0 <= self.actions.min() <= self.actions.max() < self.action_count:
             raise ValueError(f"actions must lie in [0, {self.action_count})")
+        if not np.isfinite(self.contexts).all():
+            raise ValueError("contexts must be finite")
+        if not ((0.0 < self.propensities) & (self.propensities <= 1.0)).all():
+            raise ValueError("propensities must lie in (0, 1]")
+        if ((self.rewards < -1.0) | (self.rewards > 0.0)).any():  # NaN passes: reward-free
+            raise ValueError("rewards must lie in [-1, 0], or be NaN where unknown")
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -90,8 +97,10 @@ class BanditLog:
 
 @dataclass(frozen=True, eq=False)
 class SupervisedDataset:
-    """Classification data (features, integer labels) used to synthesize logs;
-    its columns are read-only views, as a :class:`BanditLog`'s are."""
+    """Classification data (finite features, nonnegative integer labels) used to
+    synthesize logs.  As a :class:`BanditLog`'s, its columns are read-only views
+    and the arrays it was built from must not change afterwards: the log that
+    :func:`supervised_to_bandit` makes shares its features."""
 
     features: np.ndarray  # (N, d)
     labels: np.ndarray    # (N,)
@@ -101,6 +110,10 @@ class SupervisedDataset:
         object.__setattr__(self, "labels", _read_only(self.labels, int))
         if self.features.ndim != 2 or len(self.labels) != len(self.features):
             raise ValueError("features must be (N, d) with one label per row")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
+        if len(self.labels) and self.labels.min() < 0:
+            raise ValueError("labels must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -171,8 +184,7 @@ def supervised_to_bandit(
         a = (np.cumsum(P, axis=1) <= u[block, None]).sum(axis=1).clip(0, k - 1)
         actions[block], propensities[block] = a, P[np.arange(len(a)), a]
     rewards = np.where(actions == ds.labels, -1.0, 0.0)
-    return BanditLog(ds.features.copy(), actions, propensities, rewards,
-                     logging_policy.action_count)
+    return BanditLog(ds.features, actions, propensities, rewards, logging_policy.action_count)
 
 
 def mask_rewards(
@@ -220,9 +232,10 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 # rewards must be finite: NaN is how a reward-free row is held in memory.
 
 
-def _write_csv(path, header: list[str], lines) -> None:
+def write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path``, each ended by "\\n" on every platform."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([",".join(header), *lines]) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_bandit_csv(path, log: BanditLog) -> None:
@@ -230,12 +243,11 @@ def write_bandit_csv(path, log: BanditLog) -> None:
     # than numpy scalars
     rewarded = ",".join(["%.17g"] * log.dim + ["%d", "%.17g", "%.17g"])
     reward_free = rewarded[:-len("%.17g")]
-    _write_csv(
-        path, [f"x{i}" for i in range(log.dim)] + ["action", "propensity", "reward"],
-        (reward_free % (*x, a, p) if math.isnan(r) else rewarded % (*x, a, p, r)
-         for x, a, p, r in zip(log.contexts.tolist(), log.actions.tolist(),
-                               log.propensities.tolist(), log.rewards.tolist())),
-    )
+    header = ",".join([f"x{i}" for i in range(log.dim)] + ["action", "propensity", "reward"])
+    write_lines(path, [header, *(
+        reward_free % (*x, a, p) if math.isnan(r) else rewarded % (*x, a, p, r)
+        for x, a, p, r in zip(log.contexts.tolist(), log.actions.tolist(),
+                              log.propensities.tolist(), log.rewards.tolist()))])
 
 
 def _read_lines(path):
@@ -244,18 +256,6 @@ def _read_lines(path):
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 yield lineno, line.rstrip("\n")
-
-
-def _header(lines, tail: list[str]) -> int:
-    """Read the header, which must end with the ``tail`` fields; returns the
-    number of feature columns before them."""
-    lineno, line = next(lines, (1, None))
-    if line is None:
-        raise DatasetFormatError(1, "empty file")
-    fields = line.split(",")
-    if fields[-len(tail):] != tail:
-        raise DatasetFormatError(lineno, f"header must end with {','.join(tail)}")
-    return len(fields) - len(tail)
 
 
 def _finite_features(feats: array, linenos: array, d: int) -> np.ndarray:
@@ -268,23 +268,30 @@ def _finite_features(feats: array, linenos: array, d: int) -> np.ndarray:
     return features
 
 
-def _numpy_columns(path, d: int, tail: list, converters=None) -> list | None:
-    """The features, then the ``tail`` fields, of every row after the header
-    as contiguous arrays from one ``np.loadtxt`` parse.  None sends the file to
-    the line parser: when numpy refuses it or warns (numpy's grammar is
-    stricter than ``float()``/``int()``; a file with no rows warns, and numpy
-    1.x only warns on an int written as a float), or when a feature is not
-    finite or an action or label negative, so the error gets its line."""
+def _read_columns(path, tail: list, converters: dict, parse_lines, build):
+    """``build``, a data type's constructor, on the features and then the
+    ``tail`` fields (name, dtype) of every row, as numpy parses them
+    (``converters`` keyed by field name) or, when numpy refuses or warns (a file
+    with no rows warns; numpy 1.x only warns on an int written as a float) or
+    ``build`` rejects its columns, as the line parser ``parse_lines`` does."""
+    lines = _read_lines(path)
+    names = [name for name, _ in tail]
+    lineno, header = next(lines, (1, None))
+    if header is None:
+        raise DatasetFormatError(1, "empty file")
+    if header.split(",")[-len(names):] != names:
+        raise DatasetFormatError(lineno, f"header must end with {','.join(names)}")
+    d = header.count(",") + 1 - len(names)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(path, dtype=[("x", float, (d,)), *tail], delimiter=",",
                               comments=None, skiprows=1, ndmin=1, encoding=None,
-                              converters=converters)
+                              converters={d + names.index(k): f for k, f in converters.items()})
+        return build(*[np.array(rows[name]) for name in rows.dtype.names])
     except (ValueError, Warning):
-        return None
-    columns = [np.array(rows[name]) for name in rows.dtype.names]
-    return columns if np.isfinite(columns[0]).all() and (columns[1] >= 0).all() else None
+        rows = None  # free it; below the handler, the line parser's error is not chained
+    return build(*parse_lines(lines, d))
 
 
 def _reward(field: str) -> float:
@@ -335,21 +342,18 @@ def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     [-1, 0].  The format does not record the action count, so both parts take
     1 + the largest action in the file.
     """
-    lines = _read_lines(path)
-    d = _header(lines, ["action", "propensity", "reward"])
-    columns = _numpy_columns(path, d, [("action", np.int64), ("propensity", float),
-                                       ("reward", float)], {d + 2: _reward})
-    if columns is None or not ((0.0 < columns[2]) & (columns[2] <= 1.0)).all():
-        columns = _bandit_lines(lines, d)
-    log = BanditLog(*columns, int(np.max(columns[1], initial=-1)) + 1)
+    log = _read_columns(path, [("action", np.int64), ("propensity", float), ("reward", float)],
+                        {"reward": _reward}, _bandit_lines,
+                        lambda *cols: BanditLog(*cols, int(np.max(cols[1], initial=-1)) + 1))
     rewarded = ~np.isnan(log.rewards)
     return log.take(rewarded), log.take(~rewarded)
 
 
 def write_supervised_csv(path, ds: SupervisedDataset) -> None:
     row = ",".join(["%.17g"] * ds.dim + ["%d"])
-    _write_csv(path, [f"x{i}" for i in range(ds.dim)] + ["label"],
-               (row % (*x, y) for x, y in zip(ds.features.tolist(), ds.labels.tolist())))
+    header = ",".join([f"x{i}" for i in range(ds.dim)] + ["label"])
+    write_lines(path, [header, *(row % (*x, y) for x, y in zip(ds.features.tolist(),
+                                                               ds.labels.tolist()))])
 
 
 def _supervised_lines(lines, d: int) -> tuple:
@@ -373,9 +377,4 @@ def _supervised_lines(lines, d: int) -> tuple:
 
 
 def read_supervised_csv(path) -> SupervisedDataset:
-    lines = _read_lines(path)
-    d = _header(lines, ["label"])
-    columns = _numpy_columns(path, d, [("label", np.int64)])
-    if columns is None:
-        columns = _supervised_lines(lines, d)
-    return SupervisedDataset(*columns)
+    return _read_columns(path, [("label", np.int64)], {}, _supervised_lines, SupervisedDataset)

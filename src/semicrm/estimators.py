@@ -35,6 +35,13 @@ def check_nonempty(alpha: float, S: BanditLog, S_u: BanditLog, pooled: bool = Fa
         raise ValueError("alpha < 1 requires a nonempty unknown-reward dataset")
 
 
+def check_rewarded(rewards: np.ndarray) -> None:
+    """Reject an unknown (NaN) reward on a row that the IPS term covers; run once
+    per estimate or training run, as the row term itself does not check."""
+    if np.any(np.isnan(rewards)):
+        raise ValueError("IPS needs a reward on every row it covers")
+
+
 def _group_weights(actions: np.ndarray) -> np.ndarray:
     """Per-row weight 1/m_[a], counting m_[a] over the given rows only."""
     return 1.0 / np.bincount(actions)[actions]
@@ -50,10 +57,6 @@ def _group_weights(actions: np.ndarray) -> np.ndarray:
 def _ips_rows(log_pi, actions, propensities, rewards, zeta):
     """Truncated IPS r pi / (n max(zeta, p)); as d pi / d log pi = pi, the
     factors equal the values."""
-    if np.any(propensities <= 0.0):
-        raise ValueError("all propensities must be positive")
-    if np.any(np.isnan(rewards)):
-        raise ValueError("IPS needs a reward on every row it covers")
     values = rewards * np.exp(log_pi) / (len(log_pi) * np.maximum(propensities, zeta))
     return values, values
 
@@ -70,8 +73,6 @@ def _kl_rows(log_pi, actions, propensities, rewards, tau):
     The policy enters both factors, so the factor is w pi (log(pi / max(tau, p)) + 1).
     """
     floored = np.maximum(propensities, tau)
-    if np.any(floored <= 0.0):
-        raise ValueError("tau = 0 requires strictly positive propensities")
     weighted_pi = _group_weights(actions) * np.exp(log_pi)
     log_ratio = log_pi - np.log(floored)
     return weighted_pi * log_ratio, weighted_pi * (log_ratio + 1.0)
@@ -80,8 +81,6 @@ def _kl_rows(log_pi, actions, propensities, rewards, tau):
 def _rkl_rows(log_pi, actions, propensities, rewards, _floor):
     """Reverse KL w (p log p - p log pi): WCE at tau = 0 plus the policy-free
     constant w p log p (the WCE factors are -w p)."""
-    if np.any(propensities <= 0.0):
-        raise ValueError("all propensities must be positive")
     values, factors = _wce_rows(log_pi, actions, propensities, rewards, 0.0)
     return values - factors * np.log(propensities), factors
 
@@ -167,8 +166,10 @@ def _term_values(policy, contexts, actions, propensities, rewards, parts, gradie
 
 
 def _estimate(policy: SoftmaxPolicy, rows: BanditLog, parts) -> float:
-    for term, _, _, floor in parts:
+    for term, part, _, floor in parts:
         check_floor("zeta" if term == "IPS" else "tau", floor)
+        if term == "IPS":
+            check_rewarded(rows.rewards[part])
     values, _ = term_values(policy, rows, parts)
     return sum(scale * value for (_, _, scale, _), value in zip(parts, values))
 

@@ -18,6 +18,7 @@ from .data import (
     mask_rewards,
     read_supervised_csv,
     supervised_to_bandit,
+    write_lines,
 )
 from .policy import SoftmaxPolicy, softmax
 from .rng import derive_seed, stage_rng
@@ -97,7 +98,7 @@ def evaluate_policy(
         )
     if len(test) == 0:
         raise ValueError("no test rows to evaluate on")
-    if test.labels.min() < 0 or test.labels.max() >= policy.action_count:
+    if test.labels.max() >= policy.action_count:
         raise ValueError(f"test labels must lie in [0, {policy.action_count})")
     probs = policy.probs_batch(test.features)
     idx = np.arange(len(test))
@@ -239,8 +240,7 @@ def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
             f"{r.algorithm},{r.alpha:.17g},{r.tau:.17g},{r.seed},"
             f"{r.expected_risk:.17g},{r.accuracy:.17g},{r.runtime_seconds:.6f}"
         )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def summarize(rows: list[MetricsRow]) -> list[dict]:
@@ -275,8 +275,7 @@ def write_summary_csv(path, rows: list[MetricsRow]) -> None:
             v = cell[col]
             vals.append(f"{v:.17g}" if isinstance(v, float) else str(v))
         lines.append(",".join(vals))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _write_outputs(output_dir, rows, errors) -> None:
@@ -284,5 +283,4 @@ def _write_outputs(output_dir, rows, errors) -> None:
     write_metrics_csv(os.path.join(output_dir, "metrics.csv"), rows)
     write_summary_csv(os.path.join(output_dir, "summary.csv"), rows)
     if errors:
-        with open(os.path.join(output_dir, "errors.txt"), "w") as fh:
-            fh.write("\n".join(errors) + "\n")
+        write_lines(os.path.join(output_dir, "errors.txt"), errors)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BanditLog
-from .estimators import check_floor, check_nonempty, column_term_values, objective_parts
+from .data import BanditLog, write_lines
+from .estimators import (check_floor, check_nonempty, check_rewarded, column_term_values,
+                         objective_parts)
 from .policy import DimensionMismatchError, SoftmaxPolicy
 from .rng import make_rng
 
@@ -76,8 +77,7 @@ class TrainTrace:
         for row in zip(self.epochs, self.ips_terms, self.reg_terms,
                        self.grad_norms, self.seconds):
             lines.append(f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g},{row[4]:.6f}")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 # ---- the training loop -----------------------------------------------------
@@ -112,6 +112,7 @@ def _descend(
         raise DimensionMismatchError("initial policy action count",
                                      S.action_count, init.action_count)
     rows = S.concat(S_u)
+    check_rewarded((rows if pooled else S).rewards)
     columns = (rows.contexts, rows.actions, rows.propensities, rows.rewards)
     n_known, n_unknown = len(S), len(S_u)
     batch_known = min(cfg.batch_known, n_known)

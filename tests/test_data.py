@@ -83,6 +83,56 @@ class TestSupervisedDataset:
         SupervisedDataset(features, labels)
         features[0, 0], labels[0] = 1.0, 1
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_feature_rejected(self, bad):
+        with pytest.raises(ValueError, match="features must be finite"):
+            SupervisedDataset(np.array([[0.0, 1.0], [bad, 2.0]]), np.array([0, 1]))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="labels must be nonnegative"):
+            SupervisedDataset(np.zeros((3, 3)), np.array([0, -1, 1]))
+
+
+class TestBanditLog:
+    ROW = ([0.5, -1.0], 1, 0.25, -1.0)  # context, action, propensity, reward
+
+    def log_with(self, **changes):
+        """A two-row log whose second row has the given context, propensity or reward."""
+        row = dict(zip(("context", "action", "propensity", "reward"), self.ROW), **changes)
+        return make_log([self.ROW, tuple(row.values())], 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_context_rejected(self, bad):
+        with pytest.raises(ValueError, match="contexts must be finite"):
+            self.log_with(context=[0.0, bad])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, 1.0 + 1e-12, 2.0, np.inf])
+    def test_propensity_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"propensities must lie in \(0, 1\]"):
+            self.log_with(propensity=bad)
+
+    @pytest.mark.parametrize("bad", [2.0, 1e-300, -1.0 - 1e-12, np.inf, -np.inf])
+    def test_reward_outside_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"rewards must lie in \[-1, 0\]"):
+            self.log_with(reward=bad)
+
+    @pytest.mark.parametrize("name, value", [
+        ("propensity", 1.0), ("propensity", 5e-324), ("reward", -1.0), ("reward", 0.0),
+        ("reward", -0.0), ("reward", np.nan),
+    ])
+    def test_values_on_the_edges_are_kept(self, name, value):
+        log = self.log_with(**{name: value})
+        column = log.propensities if name == "propensity" else log.rewards
+        assert np.array_equal(column[1:], [value], equal_nan=True)
+
+    def test_derived_logs_obey_the_rules(self):
+        log = self.log_with()
+        with pytest.raises(ValueError, match=r"rewards must lie in \[-1, 0\]"):
+            log.with_rewards(2.0)
+        with pytest.raises(ValueError, match="contexts must be finite"):
+            log.concat(make_log([([np.nan, 0.0], 0, 0.5)], 2))
+        assert len(log.take([0]).with_rewards(np.nan)) == 1
+
 
 class TestSupervisedToBandit:
     def test_concentrated_logging_gives_all_minus_one(self):
@@ -126,6 +176,11 @@ class TestSupervisedToBandit:
         assert np.array_equal(S.propensities, propensities)
         # the transform consumed exactly n rng.random() draws
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_log_shares_the_features(self):
+        ds = label_concentrated_dataset()
+        S = supervised_to_bandit(ds, uniform_policy(2, 3), make_rng(0))
+        assert np.shares_memory(S.contexts, ds.features)
 
     def test_empty_dataset_gives_empty_log(self):
         ds = SupervisedDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -248,6 +303,21 @@ class TestBanditCsv:
         with pytest.raises(DatasetFormatError) as err:
             read_bandit_csv(path)
         assert err.value.line_number == 3
+
+    def test_negative_action_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("x0,action,propensity,reward\n1.0,0,0.5,-1\n2.0,-1,0.5,-1\n")
+        with pytest.raises(DatasetFormatError, match="line 3: negative action index -1") as err:
+            read_bandit_csv(path)
+        assert err.value.line_number == 3
+
+    def test_nan_propensity_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("x0,action,propensity,reward\n1.0,0,0.5,-1\n2.0,1,0.5,\n3.0,1,nan,\n")
+        with pytest.raises(DatasetFormatError,
+                           match=r"line 4: propensity must be in \(0, 1\], got nan") as err:
+            read_bandit_csv(path)
+        assert err.value.line_number == 4
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "log.csv"

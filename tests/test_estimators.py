@@ -85,6 +85,11 @@ class TestIpsRisk:
         with pytest.raises(ValueError):
             ips_risk(uniform_policy(2, 2), make_log([([0.0, 0.0], 0, 0.5, -1.0)], 2).take([]))
 
+    def test_reward_free_row_rejected(self):
+        S = make_log([([0.0, 0.0], 0, 0.5, -1.0), ([1.0, 0.0], 1, 0.5)], 2)
+        with pytest.raises(ValueError, match="IPS needs a reward on every row it covers"):
+            ips_risk(uniform_policy(2, 2), S)
+
 
 class TestTruncatedIps:
     def test_zeta_zero_equals_plain(self):

@@ -313,6 +313,15 @@ class TestTrainerContracts:
         with pytest.raises(ValueError):
             train_wce_crm(S, S_u.take([]), self.cfg(alpha=0.5), init)
 
+    @pytest.mark.parametrize("train", [train_wce_crm, train_kl_crm])
+    def test_reward_free_row_in_S_rejected_before_any_step(self, train):
+        # at seed 7 one step of one known row does not draw the last row of S, so
+        # only a check made before the first step sees its missing reward
+        S, S_u, init = self.make_setup(3)
+        S = S.take(np.arange(len(S) - 1)).concat(S_u.take([0]))
+        with pytest.raises(ValueError, match="IPS needs a reward on every row it covers"):
+            train(S, S_u, self.cfg(epochs=1, batch_known=1), init)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_its_step(self):
         S, S_u, init = self.make_setup(5)

@@ -180,8 +180,10 @@ def supervised_to_bandit(
         block = slice(start, start + TO_BANDIT_BLOCK)
         # probs, not probs_batch: each propensity is then probs(x)[a] exactly
         P = logging_policy.probs(ds.features[block])
-        # inverse CDF: searchsorted(cumsum(p), u, side="right") for every row
-        a = (np.cumsum(P, axis=1) <= u[block, None]).sum(axis=1).clip(0, k - 1)
+        # inverse CDF: searchsorted(cumsum(p), u, side="right") for every row; a u
+        # at or above the row's float total takes its last positive-probability action
+        last_positive = k - 1 - (P[:, ::-1] > 0.0).argmax(axis=1)
+        a = np.minimum((np.cumsum(P, axis=1) <= u[block, None]).sum(axis=1), last_positive)
         actions[block], propensities[block] = a, P[np.arange(len(a)), a]
     rewards = np.where(actions == ds.labels, -1.0, 0.0)
     return BanditLog(ds.features, actions, propensities, rewards, logging_policy.action_count)

@@ -170,7 +170,8 @@ def run_experiment(
 
     Pipeline per repetition seed: supervised data -> logging policy ->
     bandit transform -> reward masking -> train each (algorithm, alpha, tau)
-    cell -> exact evaluation on the held-out test set.
+    cell in a forked worker, one per CPU in the affinity mask -> exact
+    evaluation on the held-out test set.
     """
     if cfg.dataset_path is not None:
         full = read_supervised_csv(cfg.dataset_path)
@@ -191,7 +192,7 @@ def run_experiment(
     logging_risk, logging_acc = evaluate_policy(logging_policy, test_ds)
 
     rows: list[MetricsRow] = []
-    errors: list[str] = []
+    reps, cells = [], []
     for rep in range(cfg.repetitions):
         rep_seed = derive_seed(cfg.seed, f"rep{rep}")
         S_all = supervised_to_bandit(train_ds, logging_policy, stage_rng(rep_seed, "bandit"))
@@ -200,26 +201,46 @@ def run_experiment(
             S = drop_action(S, cfg.dropped_action)
         init = SoftmaxPolicy.create(train_ds.dim, train_ds.num_classes,
                                     rng=stage_rng(rep_seed, "init"))
+        reps.append((rep_seed, S, S_u, init))
         for algorithm in cfg.algorithms:
             if algorithm == "logging":
                 rows.append(MetricsRow("logging", 0.0, 0.0, rep,
                                        logging_risk, logging_acc, 0.0))
                 continue
-            for alpha in cfg.alphas:
-                for tau in cfg.taus:
-                    try:
-                        rows.append(_run_cell(
-                            cfg, algorithm, alpha, tau, rep, rep_seed,
-                            S, S_u, init, test_ds,
-                        ))
-                    except ValueError as exc:  # a domain error: record, move on
-                        errors.append(
-                            f"{algorithm},alpha={alpha},tau={tau},seed={rep}: {exc}"
-                        )
+            cells += [(algorithm, alpha, tau, rep) for alpha in cfg.alphas for tau in cfg.taus]
+    outcomes = []
+    if cells:  # one forked worker per usable CPU; each inherits the inputs
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(cells)),
+                                 multiprocessing.get_context("fork"), initializer=_inherit,
+                                 initargs=(cfg, reps, test_ds)) as pool:
+            outcomes = list(pool.map(_cell_outcome, cells))
+    rows += [o for o in outcomes if isinstance(o, MetricsRow)]
+    errors = [o for o in outcomes if isinstance(o, str)]
     rows.sort(key=lambda r: (r.algorithm, r.alpha, r.tau, r.seed))
     if cfg.output_dir is not None:
         _write_outputs(cfg.output_dir, rows, errors)
     return rows, errors
+
+
+_SWEEP = None  # (cfg, per-repetition inputs, test set), set in each worker
+
+
+def _inherit(cfg, reps, test_ds):
+    global _SWEEP
+    _SWEEP = cfg, reps, test_ds
+
+
+def _cell_outcome(cell):
+    """One cell's row, or its error line when it raises a domain error."""
+    cfg, reps, test_ds = _SWEEP
+    algorithm, alpha, tau, rep = cell
+    try:
+        return _run_cell(cfg, algorithm, alpha, tau, rep, *reps[rep], test_ds)
+    except ValueError as exc:  # a domain error: record, move on
+        return f"{algorithm},alpha={alpha},tau={tau},seed={rep}: {exc}"
 
 
 def _run_cell(cfg, algorithm, alpha, tau, rep, rep_seed, S, S_u, init, test_ds):

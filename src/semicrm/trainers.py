@@ -187,9 +187,9 @@ def fit_reward_regressor(S: BanditLog, ridge: float = 1e-8) -> RewardRegressor:
     each of ``S.action_count`` actions; the tiny ridge keeps rank-deficient
     designs solvable, including the column of an action that no row of S took.
     """
-    total_p = float(np.sum(S.propensities))
-    if total_p <= 0.0:
-        raise ValueError("propensity weights sum to zero")
+    if not len(S):
+        raise ValueError("the reward regressor needs a nonempty known-reward dataset")
+    total_p = float(np.sum(S.propensities))  # > 0: every propensity lies in (0, 1]
     reg = RewardRegressor(np.zeros(S.dim + S.action_count + 1), S.action_count)
     phi = reg.features(S.contexts, S.actions)
     w = S.propensities / total_p
@@ -213,6 +213,7 @@ def train_pr_crm(
     """Fit the reward regressor on S, give S_u pseudo-rewards, then run
     minibatch descent on the pseudo-reward objective.
     """
+    check_nonempty(cfg.alpha, S, S_u, pooled=True)
     aug = S_u
     if len(S_u):
         aug = predict_pseudo_rewards(fit_reward_regressor(S), S_u)

@@ -177,6 +177,23 @@ class TestSupervisedToBandit:
         # the transform consumed exactly n rng.random() draws
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
+    def test_u_past_the_float_total_never_logs_a_zero_probability_action(self):
+        # the row's CDF total is nextafter(1, 0) and action 2's probability
+        # underflows to 0: a u at the total falls through to action 1
+        class LastDraw:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        policy = SoftmaxPolicy.create(2, 3, (), make_rng(0))
+        policy.weights[0][:] = 0.0
+        policy.biases[0][:] = [0.0, -2.997, -1000.0]
+        ds = SupervisedDataset(np.zeros((1, 2)), np.array([1]))
+        P = policy.probs(ds.features)[0]
+        assert P[2] == 0.0 and np.cumsum(P)[-1] <= np.nextafter(1.0, 0.0)
+        S = supervised_to_bandit(ds, policy, LastDraw())
+        assert S.actions.tolist() == [1]
+        assert S.propensities[0] == P[1] > 0.0
+
     def test_log_shares_the_features(self):
         ds = label_concentrated_dataset()
         S = supervised_to_bandit(ds, uniform_policy(2, 3), make_rng(0))

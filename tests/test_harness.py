@@ -1,4 +1,7 @@
-from dataclasses import FrozenInstanceError
+import concurrent.futures
+import multiprocessing
+import os
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
@@ -229,11 +232,6 @@ class TestRunExperiment:
         assert (tmp_path / "metrics.csv").read_text() == METRICS_HEADER + "\n"
 
     def test_only_value_errors_become_cell_errors(self, monkeypatch):
-        def fails_with(exc):
-            def trainer(S, S_u, cfg, init):
-                raise exc
-            return trainer
-
         monkeypatch.setitem(harness._TRAINERS, "WCE", fails_with(ValueError("bad data")))
         rows, errors = run_experiment(tiny_config())
         assert len(errors) == 4 and all(e.endswith(": bad data") for e in errors)
@@ -245,6 +243,75 @@ class TestRunExperiment:
     def test_timing_enabled_records_positive_time(self):
         rows, _ = run_experiment(tiny_config(timing=True, algorithms=("WCE",)))
         assert all(r.runtime_seconds > 0.0 for r in rows)
+
+
+def fails_with(exc):
+    def trainer(S, S_u, cfg, init):
+        raise exc
+    return trainer
+
+
+def row_bits(row: MetricsRow) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(row))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """(workers, initargs) of every process pool a sweep makes."""
+    made = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context, **kwargs):
+            made.append((max_workers, kwargs["initargs"]))
+            super().__init__(max_workers, mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+class TestParallelSweep:
+    def test_rows_equal_cells_run_in_this_process(self, pools):
+        rows, _ = run_experiment(tiny_config())
+        ((_, (cfg, reps, test_ds)),) = pools
+        trained = [r for r in rows if r.algorithm != "logging"]
+        assert len(trained) == 4
+        for r in trained:
+            here = harness._run_cell(cfg, r.algorithm, r.alpha, r.tau, r.seed,
+                                     *reps[r.seed], test_ds)
+            assert row_bits(here) == row_bits(r)
+
+    def test_cells_run_in_worker_processes(self, monkeypatch):
+        def fails_with_pid(S, S_u, cfg, init):
+            raise ValueError(os.getpid())  # the pid of the process that runs the cell
+
+        monkeypatch.setitem(harness._TRAINERS, "WCE", fails_with_pid)
+        _, errors = run_experiment(tiny_config())
+        # in loop order: repetition, then alpha
+        assert [e.rsplit(": ", 1)[0] for e in errors] == [
+            f"WCE,alpha={alpha},tau=0.001,seed={rep}" for rep in (0, 1) for alpha in (0.5, 1.0)]
+        pids = {int(e.rsplit(": ", 1)[1]) for e in errors}
+        assert os.getpid() not in pids
+        assert len(pids) <= len(os.sched_getaffinity(0))
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, pools):
+        cpus = len(os.sched_getaffinity(0))
+        run_experiment(tiny_config(output_dir=str(tmp_path / "all")))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_experiment(tiny_config(output_dir=str(tmp_path / "one")))
+        assert [workers for workers, _ in pools] == [min(cpus, 4), 1]
+        for name in ("metrics.csv", "summary.csv"):
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_no_worker_outlives_a_sweep(self, monkeypatch, pools):
+        run_experiment(tiny_config())
+        assert multiprocessing.active_children() == []
+        monkeypatch.setitem(harness._TRAINERS, "WCE", fails_with(TypeError("a bug")))
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(tiny_config())
+        assert multiprocessing.active_children() == []
+        rows, _ = run_experiment(tiny_config(algorithms=("logging",)))
+        assert len(rows) == 2 and len(pools) == 2  # no cell to train, no pool
+        assert multiprocessing.active_children() == []
 
 
 class TestSummaries:

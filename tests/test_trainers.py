@@ -414,6 +414,11 @@ class TestRewardRegressor:
             beta -= 0.1 * grad
         assert np.max(np.abs(beta - reg.weights)) < 1e-6
 
+    def test_empty_known_set_names_its_cause(self):
+        S, _ = random_batches(7)
+        with pytest.raises(ValueError, match="needs a nonempty known-reward dataset"):
+            fit_reward_regressor(S.take([]))
+
     def test_pseudo_reward_clamping(self):
         reg = fit_reward_regressor(make_log([([0.0], 0, 0.5, -1.0),
                                              ([1.0], 0, 0.5, -1.0)], 1))
@@ -441,6 +446,14 @@ class TestPrCrm:
                               learning_rate=0.05, seed=9)
         p_wce, _ = train_wce_crm(S, S_u_from_S, cfg_wce, init)
         assert np.max(np.abs(flat_params(p_pr) - flat_params(p_wce))) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_empty_known_set_with_positive_alpha_rejected(self, alpha):
+        # as WCE-CRM and KL-CRM report it, not as the regressor's failure
+        S, S_u = random_batches(8)
+        init = SoftmaxPolicy.create(3, 3, (6,), make_rng(108))
+        with pytest.raises(ValueError, match="alpha > 0 requires a nonempty known-reward"):
+            train_pr_crm(S.take([]), S_u, TrainConfig(alpha=alpha, epochs=1), init)
 
     def test_objective_decreases_on_synthetic_run(self):
         rng = make_rng(30)

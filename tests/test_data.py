@@ -308,6 +308,11 @@ class TestBanditCsv:
         )
         assert path.read_text() == expected
 
+    def test_zero_rows_give_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_bandit_csv(path, BanditLog(np.zeros((0, 2)), [], [], [], 3))
+        assert path.read_bytes() == b"x0,x1,action,propensity,reward\n"
+
     def test_empty_reward_field_parses_unknown(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("x0,action,propensity,reward\n1.5,0,0.5,\n")
@@ -410,6 +415,22 @@ class TestSupervisedCsv:
         out = read_supervised_csv(path)
         assert np.array_equal(out.features, ds.features)
         assert np.array_equal(out.labels, ds.labels)
+
+    def test_golden_bytes(self, tmp_path):
+        ds = SupervisedDataset(np.array([[0.5, -1.25, 1e-300], [1.0 / 3.0, -0.0, 2.0]]),
+                               np.array([4, 0]))
+        path = tmp_path / "golden.csv"
+        write_supervised_csv(path, ds)
+        assert path.read_bytes() == (
+            b"x0,x1,x2,label\n"
+            b"0.5,-1.25,1e-300,4\n"
+            b"0.33333333333333331,-0,2,0\n"
+        )
+
+    def test_zero_rows_give_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_supervised_csv(path, SupervisedDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+        assert path.read_bytes() == b"x0,x1,label\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_nonfinite_feature_rejected_with_line_number(self, tmp_path, bad):

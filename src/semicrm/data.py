@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -150,6 +152,9 @@ class DatasetFormatError(ValueError):
 # (about 0.4 MB a block at the default widths); its speed is flat from 512
 # to 8192 rows
 TO_BANDIT_BLOCK = 1024
+# rows per formatted block of a CSV write: on 2 cores a 100k-row write is
+# within 15% of its best time for any block from 2048 to 16384 rows
+CSV_BLOCK = 4096
 
 
 def supervised_to_bandit(
@@ -232,6 +237,33 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 # Reward-free rows leave the reward field empty.  Values are printed with
 # 17 significant digits so a write/read round trip is lossless.  Features and
 # rewards must be finite: NaN is how a reward-free row is held in memory.
+# Writers format blocks of CSV_BLOCK rows, in forked workers when there are
+# several, to the same bytes on any CPU count.  Readers parse in the caller.
+
+_INHERITED = None  # (fn, args) of the fork_map that started this worker
+
+
+def fork_map(fn, items, *args) -> list:
+    """``[fn(*args, item) for item in items]`` in forked workers, one per CPU in
+    the affinity mask (``taskset``), at most one per item.  ``fn`` and ``args``
+    reach the workers through the fork; only items and results are pickled."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(items)),
+                             multiprocessing.get_context("fork"),
+                             initializer=partial(_inherit, fn), initargs=args) as pool:
+        return list(pool.map(_call_inherited, items))
+
+
+def _inherit(fn, *args):
+    global _INHERITED
+    _INHERITED = fn, args
+
+
+def _call_inherited(item):
+    fn, args = _INHERITED
+    return fn(*args, item)
 
 
 def write_lines(path, lines) -> None:
@@ -240,16 +272,31 @@ def write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_bandit_csv(path, log: BanditLog) -> None:
+def _write_blocks(path, header: str, format_rows, data) -> None:
+    """``header`` and each block's ``format_rows(data, start)``, all formatted
+    before the file is opened, so a failure leaves no file."""
+    starts = range(0, len(data), CSV_BLOCK)
+    blocks = fork_map(format_rows, starts, data) if len(starts) > 1 else [format_rows(data, 0)]
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(blocks)
+
+
+def _bandit_rows(log: BanditLog, start: int) -> str:
     # one %-template per row; .tolist() first: Python floats format faster
     # than numpy scalars
-    rewarded = ",".join(["%.17g"] * log.dim + ["%d", "%.17g", "%.17g"])
-    reward_free = rewarded[:-len("%.17g")]
-    header = ",".join([f"x{i}" for i in range(log.dim)] + ["action", "propensity", "reward"])
-    write_lines(path, [header, *(
+    fields = ["%.17g"] * log.dim + ["%d", "%.17g"]
+    reward_free, rewarded = ",".join(fields) + ",\n", ",".join(fields + ["%.17g"]) + "\n"
+    rows = slice(start, start + CSV_BLOCK)
+    return "".join(
         reward_free % (*x, a, p) if math.isnan(r) else rewarded % (*x, a, p, r)
-        for x, a, p, r in zip(log.contexts.tolist(), log.actions.tolist(),
-                              log.propensities.tolist(), log.rewards.tolist()))])
+        for x, a, p, r in zip(log.contexts[rows].tolist(), log.actions[rows].tolist(),
+                              log.propensities[rows].tolist(), log.rewards[rows].tolist()))
+
+
+def write_bandit_csv(path, log: BanditLog) -> None:
+    header = ",".join([f"x{i}" for i in range(log.dim)] + ["action", "propensity", "reward"])
+    _write_blocks(path, header, _bandit_rows, log)
 
 
 def _read_lines(path):
@@ -351,11 +398,15 @@ def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     return log.take(rewarded), log.take(~rewarded)
 
 
+def _supervised_rows(ds: SupervisedDataset, start: int) -> str:
+    row, rows = ",".join(["%.17g"] * ds.dim + ["%d"]) + "\n", slice(start, start + CSV_BLOCK)
+    return "".join(row % (*x, y) for x, y in zip(ds.features[rows].tolist(),
+                                                 ds.labels[rows].tolist()))
+
+
 def write_supervised_csv(path, ds: SupervisedDataset) -> None:
-    row = ",".join(["%.17g"] * ds.dim + ["%d"])
     header = ",".join([f"x{i}" for i in range(ds.dim)] + ["label"])
-    write_lines(path, [header, *(row % (*x, y) for x, y in zip(ds.features.tolist(),
-                                                               ds.labels.tolist()))])
+    _write_blocks(path, header, _supervised_rows, ds)
 
 
 def _supervised_lines(lines, d: int) -> tuple:

@@ -15,6 +15,7 @@ import numpy as np
 from .data import (
     SupervisedDataset,
     drop_action,
+    fork_map,
     mask_rewards,
     read_supervised_csv,
     supervised_to_bandit,
@@ -208,15 +209,7 @@ def run_experiment(
                                        logging_risk, logging_acc, 0.0))
                 continue
             cells += [(algorithm, alpha, tau, rep) for alpha in cfg.alphas for tau in cfg.taus]
-    outcomes = []
-    if cells:  # one forked worker per usable CPU; each inherits the inputs
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(cells)),
-                                 multiprocessing.get_context("fork"), initializer=_inherit,
-                                 initargs=(cfg, reps, test_ds)) as pool:
-            outcomes = list(pool.map(_cell_outcome, cells))
+    outcomes = fork_map(_cell_outcome, cells, cfg, reps, test_ds) if cells else []
     rows += [o for o in outcomes if isinstance(o, MetricsRow)]
     errors = [o for o in outcomes if isinstance(o, str)]
     rows.sort(key=lambda r: (r.algorithm, r.alpha, r.tau, r.seed))
@@ -225,17 +218,8 @@ def run_experiment(
     return rows, errors
 
 
-_SWEEP = None  # (cfg, per-repetition inputs, test set), set in each worker
-
-
-def _inherit(cfg, reps, test_ds):
-    global _SWEEP
-    _SWEEP = cfg, reps, test_ds
-
-
-def _cell_outcome(cell):
+def _cell_outcome(cfg, reps, test_ds, cell):
     """One cell's row, or its error line when it raises a domain error."""
-    cfg, reps, test_ds = _SWEEP
     algorithm, alpha, tau, rep = cell
     try:
         return _run_cell(cfg, algorithm, alpha, tau, rep, *reps[rep], test_ds)

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tempfile
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import semicrm.data
 from semicrm.data import (
     TO_BANDIT_BLOCK,
     BanditLog,
@@ -453,6 +456,95 @@ class TestSupervisedCsv:
         with pytest.raises(DatasetFormatError) as err:
             read_supervised_csv(path)
         assert err.value.line_number == 5
+
+
+# The writers format blocks of CSV_BLOCK rows, in forked workers when there are
+# several.  These pin that the bytes do not depend on the block size or the
+# worker count, and that the workers neither outlive a write nor hide a failure.
+
+
+def pids_written(path) -> list[int]:
+    return [int(line) for line in path.read_text().splitlines()[1:]]
+
+
+class TestBlockedCsvWrites:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bytes_do_not_depend_on_blocks_or_cpus(self, data):
+        block = data.draw(st.integers(1, 7), label="block")
+        n = data.draw(st.sampled_from([0, block, 2 * block, 3 * block])
+                      | st.integers(0, 4 * block), label="rows")
+        d = data.draw(st.integers(1, 3), label="d")
+        k = data.draw(st.integers(1, 4), label="k")
+        finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0])
+        contexts = data.draw(arrays(float, (n, d), elements=finite))
+        rewards = data.draw(arrays(float, n, elements=st.floats(-1.0, 0.0)
+                                   | st.sampled_from([np.nan, -0.0, -1.0])))
+        if data.draw(st.booleans(), label="reward-free block edges"):
+            rewards[::block] = rewards[block - 1::block] = np.nan
+        log = BanditLog(contexts, data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1))),
+                        data.draw(arrays(float, n, elements=st.floats(5e-324, 1.0))), rewards, k)
+        ds = SupervisedDataset(contexts, log.actions)
+        cpus = data.draw(st.sampled_from([{0}, set(range(os.cpu_count()))]), label="CPUs")
+        with tempfile.TemporaryDirectory() as tmp:
+            written = {}
+            for blocked in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if blocked:
+                        mp.setattr(semicrm.data, "CSV_BLOCK", block)
+                        mp.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                    for name, write, rows in (("log.csv", write_bandit_csv, log),
+                                              ("sup.csv", write_supervised_csv, ds)):
+                        write(Path(tmp) / name, rows)
+                        written[blocked, name] = (Path(tmp) / name).read_bytes()
+        for name in ("log.csv", "sup.csv"):
+            assert written[True, name] == written[False, name]
+
+    def test_blocks_run_in_worker_processes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "_supervised_rows",
+                            lambda ds, start: f"{os.getpid()}\n")
+        path = tmp_path / "sup.csv"
+        write_supervised_csv(path, label_concentrated_dataset(n=7))
+        pids = pids_written(path)
+        assert len(pids) == 4  # blocks of 2, 2, 2 and 1 rows
+        assert os.getpid() not in pids and len(set(pids)) <= len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        write_supervised_csv(path, label_concentrated_dataset(n=7))
+        pids = pids_written(path)
+        assert len(set(pids)) == 1 and os.getpid() not in pids  # one worker
+
+    def test_one_block_is_formatted_in_this_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "_bandit_rows",
+                            lambda log, start: f"{os.getpid()}\n")
+        path = tmp_path / "log.csv"
+        for rows in (0, 1, 2):
+            write_bandit_csv(path, random_log(n=2).take(np.arange(rows)))
+            assert pids_written(path) == [os.getpid()]
+
+    def test_no_worker_outlives_a_write(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 3)
+        write_bandit_csv(tmp_path / "log.csv", random_log(n=20))
+        assert multiprocessing.active_children() == []
+        write_supervised_csv(tmp_path / "sup.csv", label_concentrated_dataset(n=20))
+        assert multiprocessing.active_children() == []
+
+    def test_failed_block_raises_its_own_type_and_leaves_no_file(self, tmp_path, monkeypatch):
+        format_rows = semicrm.data._bandit_rows
+
+        def fails_on_the_third_block(log, start):
+            if start == 6:
+                raise OverflowError(f"block at row {start}")
+            return format_rows(log, start)
+
+        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 3)
+        monkeypatch.setattr(semicrm.data, "_bandit_rows", fails_on_the_third_block)
+        path = tmp_path / "log.csv"
+        with pytest.raises(OverflowError, match="block at row 6"):
+            write_bandit_csv(path, random_log(n=20))
+        assert not path.exists()
+        assert multiprocessing.active_children() == []
 
 
 # Both readers parse with numpy first and hand a file to the line parser when

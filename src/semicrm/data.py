@@ -155,6 +155,9 @@ TO_BANDIT_BLOCK = 1024
 # rows per formatted block of a CSV write: on 2 cores a 100k-row write is
 # within 15% of its best time for any block from 2048 to 16384 rows
 CSV_BLOCK = 4096
+# fewest rows a CSV write forks for: on 2 cores a fresh process's first
+# write broke even with the serial one at 12k-14k rows and won from 16k
+CSV_FORK_ROWS = 16384
 
 
 def supervised_to_bandit(
@@ -237,16 +240,19 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 # Reward-free rows leave the reward field empty.  Values are printed with
 # 17 significant digits so a write/read round trip is lossless.  Features and
 # rewards must be finite: NaN is how a reward-free row is held in memory.
-# Writers format blocks of CSV_BLOCK rows, in forked workers when there are
-# several, to the same bytes on any CPU count.  Readers parse in the caller.
+# Writes of CSV_FORK_ROWS rows or more format blocks of CSV_BLOCK rows in
+# forked workers, to the same bytes on any CPU count; the rest is serial.
 
-_INHERITED = None  # (fn, args) of the fork_map that started this worker
+_INHERITED = None  # fn bound to its args by the fork_map that started this worker
 
 
 def fork_map(fn, items, *args) -> list:
-    """``[fn(*args, item) for item in items]`` in forked workers, one per CPU in
-    the affinity mask (``taskset``), at most one per item.  ``fn`` and ``args``
-    reach the workers through the fork; only items and results are pickled."""
+    """``[fn(*args, item) for item in items]``, for several items in forked
+    workers, one per CPU in the affinity mask (``taskset``) and at most one per
+    item.  ``fn`` and ``args`` reach them through the fork; only items and
+    results are pickled.  Needs Linux (``os.sched_getaffinity``, ``fork``)."""
+    if len(items) <= 1:
+        return [fn(*args, item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -258,12 +264,11 @@ def fork_map(fn, items, *args) -> list:
 
 def _inherit(fn, *args):
     global _INHERITED
-    _INHERITED = fn, args
+    _INHERITED = partial(fn, *args)
 
 
 def _call_inherited(item):
-    fn, args = _INHERITED
-    return fn(*args, item)
+    return _INHERITED(item)
 
 
 def write_lines(path, lines) -> None:
@@ -273,21 +278,22 @@ def write_lines(path, lines) -> None:
 
 
 def _write_blocks(path, header: str, format_rows, data) -> None:
-    """``header`` and each block's ``format_rows(data, start)``, all formatted
-    before the file is opened, so a failure leaves no file."""
-    starts = range(0, len(data), CSV_BLOCK)
-    blocks = fork_map(format_rows, starts, data) if len(starts) > 1 else [format_rows(data, 0)]
+    """``header`` and ``format_rows(data, rows)`` for each block of rows, all
+    formatted before the file is opened, so a failure leaves no file."""
+    n = len(data)
+    blocks = ([slice(0, n)] if n < CSV_FORK_ROWS else
+              [slice(start, start + CSV_BLOCK) for start in range(0, n, CSV_BLOCK)])
+    formatted = fork_map(format_rows, blocks, data)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(blocks)
+        fh.writelines(formatted)
 
 
-def _bandit_rows(log: BanditLog, start: int) -> str:
+def _bandit_rows(log: BanditLog, rows: slice) -> str:
     # one %-template per row; .tolist() first: Python floats format faster
     # than numpy scalars
     fields = ["%.17g"] * log.dim + ["%d", "%.17g"]
     reward_free, rewarded = ",".join(fields) + ",\n", ",".join(fields + ["%.17g"]) + "\n"
-    rows = slice(start, start + CSV_BLOCK)
     return "".join(
         reward_free % (*x, a, p) if math.isnan(r) else rewarded % (*x, a, p, r)
         for x, a, p, r in zip(log.contexts[rows].tolist(), log.actions[rows].tolist(),
@@ -398,8 +404,8 @@ def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     return log.take(rewarded), log.take(~rewarded)
 
 
-def _supervised_rows(ds: SupervisedDataset, start: int) -> str:
-    row, rows = ",".join(["%.17g"] * ds.dim + ["%d"]) + "\n", slice(start, start + CSV_BLOCK)
+def _supervised_rows(ds: SupervisedDataset, rows: slice) -> str:
+    row = ",".join(["%.17g"] * ds.dim + ["%d"]) + "\n"
     return "".join(row % (*x, y) for x, y in zip(ds.features[rows].tolist(),
                                                  ds.labels[rows].tolist()))
 

@@ -209,7 +209,7 @@ def run_experiment(
                                        logging_risk, logging_acc, 0.0))
                 continue
             cells += [(algorithm, alpha, tau, rep) for alpha in cfg.alphas for tau in cfg.taus]
-    outcomes = fork_map(_cell_outcome, cells, cfg, reps, test_ds) if cells else []
+    outcomes = fork_map(_cell_outcome, cells, cfg, reps, test_ds)
     rows += [o for o in outcomes if isinstance(o, MetricsRow)]
     errors = [o for o in outcomes if isinstance(o, str)]
     rows.sort(key=lambda r: (r.algorithm, r.alpha, r.tau, r.seed))

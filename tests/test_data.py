@@ -458,9 +458,10 @@ class TestSupervisedCsv:
         assert err.value.line_number == 5
 
 
-# The writers format blocks of CSV_BLOCK rows, in forked workers when there are
-# several.  These pin that the bytes do not depend on the block size or the
-# worker count, and that the workers neither outlive a write nor hide a failure.
+# Writes of CSV_FORK_ROWS rows or more format blocks of CSV_BLOCK rows, in
+# forked workers when there are several.  These pin that the bytes do not
+# depend on the threshold, the block size or the worker count, and that the
+# workers neither outlive a write nor hide a failure.
 
 
 def pids_written(path) -> list[int]:
@@ -472,6 +473,7 @@ class TestBlockedCsvWrites:
     @given(st.data())
     def test_bytes_do_not_depend_on_blocks_or_cpus(self, data):
         block = data.draw(st.integers(1, 7), label="block")
+        fork_rows = data.draw(st.integers(0, 4 * block), label="fork rows")
         n = data.draw(st.sampled_from([0, block, 2 * block, 3 * block])
                       | st.integers(0, 4 * block), label="rows")
         d = data.draw(st.integers(1, 3), label="d")
@@ -492,6 +494,7 @@ class TestBlockedCsvWrites:
                 with pytest.MonkeyPatch.context() as mp:
                     if blocked:
                         mp.setattr(semicrm.data, "CSV_BLOCK", block)
+                        mp.setattr(semicrm.data, "CSV_FORK_ROWS", fork_rows)
                         mp.setattr(os, "sched_getaffinity", lambda pid: cpus)
                     for name, write, rows in (("log.csv", write_bandit_csv, log),
                                               ("sup.csv", write_supervised_csv, ds)):
@@ -502,8 +505,9 @@ class TestBlockedCsvWrites:
 
     def test_blocks_run_in_worker_processes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 7)
         monkeypatch.setattr(semicrm.data, "_supervised_rows",
-                            lambda ds, start: f"{os.getpid()}\n")
+                            lambda ds, rows: f"{os.getpid()}\n")
         path = tmp_path / "sup.csv"
         write_supervised_csv(path, label_concentrated_dataset(n=7))
         pids = pids_written(path)
@@ -516,15 +520,28 @@ class TestBlockedCsvWrites:
 
     def test_one_block_is_formatted_in_this_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 1)
         monkeypatch.setattr(semicrm.data, "_bandit_rows",
-                            lambda log, start: f"{os.getpid()}\n")
+                            lambda log, rows: f"{os.getpid()}\n")
         path = tmp_path / "log.csv"
-        for rows in (0, 1, 2):
+        for rows in (1, 2):
             write_bandit_csv(path, random_log(n=2).take(np.arange(rows)))
             assert pids_written(path) == [os.getpid()]
 
+    def test_files_below_the_fork_threshold_are_one_block_in_this_process(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 8)
+        monkeypatch.setattr(semicrm.data, "_bandit_rows",
+                            lambda log, rows: f"{os.getpid()},{rows.start},{rows.stop}\n")
+        path = tmp_path / "log.csv"
+        for rows in (0, 1, 7):
+            write_bandit_csv(path, random_log(n=7).take(np.arange(rows)))
+            assert path.read_text().splitlines()[1:] == [f"{os.getpid()},0,{rows}"]
+
     def test_no_worker_outlives_a_write(self, tmp_path, monkeypatch):
         monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 3)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 0)
         write_bandit_csv(tmp_path / "log.csv", random_log(n=20))
         assert multiprocessing.active_children() == []
         write_supervised_csv(tmp_path / "sup.csv", label_concentrated_dataset(n=20))
@@ -533,12 +550,13 @@ class TestBlockedCsvWrites:
     def test_failed_block_raises_its_own_type_and_leaves_no_file(self, tmp_path, monkeypatch):
         format_rows = semicrm.data._bandit_rows
 
-        def fails_on_the_third_block(log, start):
-            if start == 6:
-                raise OverflowError(f"block at row {start}")
-            return format_rows(log, start)
+        def fails_on_the_third_block(log, rows):
+            if rows.start == 6:
+                raise OverflowError(f"block at row {rows.start}")
+            return format_rows(log, rows)
 
         monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 3)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 0)
         monkeypatch.setattr(semicrm.data, "_bandit_rows", fails_on_the_third_block)
         path = tmp_path / "log.csv"
         with pytest.raises(OverflowError, match="block at row 6"):

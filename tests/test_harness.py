@@ -313,6 +313,15 @@ class TestParallelSweep:
         assert len(rows) == 2 and len(pools) == 2  # no cell to train, no pool
         assert multiprocessing.active_children() == []
 
+    def test_one_cell_runs_in_this_process(self, monkeypatch, pools):
+        def fails_with_pid(S, S_u, cfg, init):
+            raise ValueError(os.getpid())
+
+        monkeypatch.setitem(harness._TRAINERS, "WCE", fails_with_pid)
+        _, errors = run_experiment(tiny_config(alphas=(0.5,), repetitions=1))
+        assert [e.rsplit(": ", 1)[1] for e in errors] == [str(os.getpid())]
+        assert pools == []
+
 
 class TestSummaries:
     def test_summary_matches_manual_recomputation(self):

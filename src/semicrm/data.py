@@ -250,8 +250,9 @@ def fork_map(fn, items, *args) -> list:
     """``[fn(*args, item) for item in items]``, for several items in forked
     workers, one per CPU in the affinity mask (``taskset``) and at most one per
     item.  ``fn`` and ``args`` reach them through the fork; only items and
-    results are pickled.  Needs Linux (``os.sched_getaffinity``, ``fork``)."""
-    if len(items) <= 1:
+    results are pickled.  Where ``os.sched_getaffinity`` is missing (macOS,
+    Windows), every item runs in the caller."""
+    if len(items) <= 1 or not hasattr(os, "sched_getaffinity"):
         return [fn(*args, item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -313,24 +314,14 @@ def _read_lines(path):
                 yield lineno, line.rstrip("\n")
 
 
-def _finite_features(feats: array, linenos: array, d: int) -> np.ndarray:
-    """The (n, d) array of the features parsed into ``feats``, row after row;
-    a non-finite feature is reported on its row's line, ``linenos[row]``."""
-    features = np.array(feats, dtype=float).reshape(len(linenos), d)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if len(bad):
-        raise DatasetFormatError(linenos[bad[0]], "features must be finite")
-    return features
-
-
-def _read_columns(path, tail: list, converters: dict, parse_lines, build):
+def _read_columns(path, tail: list, converters: dict, build):
     """``build``, a data type's constructor, on the features and then the
-    ``tail`` fields (name, dtype) of every row, as numpy parses them
-    (``converters`` keyed by field name) or, when numpy refuses or warns (a file
-    with no rows warns; numpy 1.x only warns on an int written as a float) or
-    ``build`` rejects its columns, as the line parser ``parse_lines`` does."""
+    ``tail`` fields (name, dtype, line parser) of every row, as numpy parses
+    them (``converters`` keyed by field name) or, when numpy refuses or warns (a
+    file with no rows warns; numpy 1.x only warns on an int written as a float)
+    or ``build`` rejects its columns, as :func:`_parse_lines` does."""
     lines = _read_lines(path)
-    names = [name for name, _ in tail]
+    names = [name for name, _, _ in tail]
     lineno, header = next(lines, (1, None))
     if header is None:
         raise DatasetFormatError(1, "empty file")
@@ -340,13 +331,59 @@ def _read_columns(path, tail: list, converters: dict, parse_lines, build):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(path, dtype=[("x", float, (d,)), *tail], delimiter=",",
-                              comments=None, skiprows=1, ndmin=1, encoding=None,
+            rows = np.loadtxt(path, dtype=[("x", float, (d,))] + [(n, t) for n, t, _ in tail],
+                              delimiter=",", comments=None, skiprows=1, ndmin=1, encoding=None,
                               converters={d + names.index(k): f for k, f in converters.items()})
         return build(*[np.array(rows[name]) for name in rows.dtype.names])
     except (ValueError, Warning):
         rows = None  # free it; below the handler, the line parser's error is not chained
-    return build(*parse_lines(lines, d))
+    return build(*_parse_lines(lines, d, [parse for _, _, parse in tail]))
+
+
+def _parse_lines(lines, d: int, parsers) -> tuple:
+    """The line parser of both formats, with one parser per field after the d
+    features: their definition, and the source of every line-numbered error.
+    A line's first faulty field in column order is the one reported."""
+    # features in a flat float array rather than one list per row: 8 bytes a value
+    feats, tails, linenos = array("d"), [[] for _ in parsers], array("l")
+    width = d + len(parsers)
+    for lineno, line in lines:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise DatasetFormatError(lineno, f"expected {width} fields, got {len(fields)}")
+        try:
+            feats.extend([float(v) for v in fields[:d]])
+            for column, parse, field in zip(tails, parsers, fields[d:]):
+                column.append(parse(field))
+        except ValueError as exc:
+            raise DatasetFormatError(lineno, str(exc)) from exc
+        linenos.append(lineno)
+    features = np.array(feats, dtype=float).reshape(len(linenos), d)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):  # reported on the line of the first row that holds one
+        raise DatasetFormatError(linenos[bad[0]], "features must be finite")
+    return features, *map(np.array, tails)
+
+
+def _index(name: str):
+    """The parser of a field holding a nonnegative int64, ``name`` in its errors."""
+    int64_max = np.iinfo(np.int64).max
+
+    def parse(field: str) -> int:
+        value = int(field)
+        if value < 0:
+            raise ValueError(f"negative {name} {value}")
+        if value > int64_max:
+            raise ValueError(f"{name} {value} does not fit in int64")
+        return value
+    return parse
+
+
+def _propensity(field: str) -> float:
+    propensity = float(field)
+    if not 0.0 < propensity <= 1.0:
+        raise ValueError(f"propensity must be in (0, 1], got {propensity}")
+    return propensity
 
 
 def _reward(field: str) -> float:
@@ -357,39 +394,6 @@ def _reward(field: str) -> float:
     return reward
 
 
-def _bandit_lines(lines, d: int) -> tuple:
-    """The bandit format's line parser: its definition, and the source of
-    every line-numbered error."""
-    # flat float arrays rather than one list per row: 8 bytes a value
-    feats, actions, propensities, rewards = array("d"), [], array("d"), array("d")
-    linenos, int64_max = array("l"), np.iinfo(np.int64).max
-    for lineno, line in lines:
-        fields = line.split(",")
-        if len(fields) != d + 3:
-            raise DatasetFormatError(lineno, f"expected {d + 3} fields, got {len(fields)}")
-        try:
-            feats.extend([float(v) for v in fields[:d]])
-            action = int(fields[d])
-            propensity = float(fields[d + 1])
-        except ValueError as exc:
-            raise DatasetFormatError(lineno, str(exc)) from exc
-        if action < 0:
-            raise DatasetFormatError(lineno, f"negative action index {action}")
-        if action > int64_max:
-            raise DatasetFormatError(lineno, f"action index {action} does not fit in int64")
-        if not 0.0 < propensity <= 1.0:
-            raise DatasetFormatError(lineno, f"propensity must be in (0, 1], got {propensity}")
-        try:
-            reward = _reward(fields[d + 2])
-        except ValueError as exc:
-            raise DatasetFormatError(lineno, str(exc)) from exc
-        actions.append(action)
-        propensities.append(propensity)
-        rewards.append(reward)
-        linenos.append(lineno)
-    return _finite_features(feats, linenos, d), actions, propensities, rewards
-
-
 def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     """Parse a logged dataset into its rewarded rows S and reward-free rows S_u.
 
@@ -397,8 +401,9 @@ def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     [-1, 0].  The format does not record the action count, so both parts take
     1 + the largest action in the file.
     """
-    log = _read_columns(path, [("action", np.int64), ("propensity", float), ("reward", float)],
-                        {"reward": _reward}, _bandit_lines,
+    log = _read_columns(path, [("action", np.int64, _index("action index")),
+                               ("propensity", float, _propensity), ("reward", float, _reward)],
+                        {"reward": _reward},
                         lambda *cols: BanditLog(*cols, int(np.max(cols[1], initial=-1)) + 1))
     rewarded = ~np.isnan(log.rewards)
     return log.take(rewarded), log.take(~rewarded)
@@ -415,25 +420,5 @@ def write_supervised_csv(path, ds: SupervisedDataset) -> None:
     _write_blocks(path, header, _supervised_rows, ds)
 
 
-def _supervised_lines(lines, d: int) -> tuple:
-    """The supervised format's line parser (see ``_bandit_lines``)."""
-    feats, labels, linenos, int64_max = array("d"), [], array("l"), np.iinfo(np.int64).max
-    for lineno, line in lines:
-        fields = line.split(",")
-        if len(fields) != d + 1:
-            raise DatasetFormatError(lineno, f"expected {d + 1} fields, got {len(fields)}")
-        try:
-            feats.extend([float(v) for v in fields[:d]])
-            labels.append(int(fields[d]))
-        except ValueError as exc:
-            raise DatasetFormatError(lineno, str(exc)) from exc
-        if labels[-1] < 0:
-            raise DatasetFormatError(lineno, f"negative label {labels[-1]}")
-        if labels[-1] > int64_max:
-            raise DatasetFormatError(lineno, f"label {labels[-1]} does not fit in int64")
-        linenos.append(lineno)
-    return _finite_features(feats, linenos, d), np.array(labels)
-
-
 def read_supervised_csv(path) -> SupervisedDataset:
-    return _read_columns(path, [("label", np.int64)], {}, _supervised_lines, SupervisedDataset)
+    return _read_columns(path, [("label", np.int64, _index("label"))], {}, SupervisedDataset)

@@ -85,8 +85,15 @@ def _rkl_rows(log_pi, actions, propensities, rewards, _floor):
     return values - factors * np.log(propensities), factors
 
 
-ROW_TERMS = {"IPS": _ips_rows, "WCE": _wce_rows, "KL": _kl_rows, "RKL": _rkl_rows}
-REGULARIZERS = ("KL", "RKL", "WCE")
+def _ce_rows(log_pi, actions, propensities, rewards, _floor):
+    """Cross-entropy -log pi / n, the actions being labels: the logging policy's fit."""
+    factors = np.full(len(log_pi), -1.0) / len(log_pi)
+    return factors * log_pi, factors
+
+
+ROW_TERMS = {"IPS": _ips_rows, "WCE": _wce_rows, "KL": _kl_rows, "RKL": _rkl_rows,
+             "CE": _ce_rows}
+REGULARIZERS = ("KL", "RKL", "WCE")  # the paper's; "CE" serves only the training loop
 VALUE_BLOCK = 16_384  # most rows per forward pass of a value-only evaluation
 
 
@@ -98,8 +105,8 @@ def objective_parts(regularizer: str, alpha: float, n_known: int, zeta: float = 
     IPS floors propensities at ``zeta`` and the regularizer at ``tau``."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if regularizer not in REGULARIZERS:
-        raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {regularizer!r}")
+    if regularizer not in (*REGULARIZERS, "CE"):
+        raise ValueError(f"regularizer must be one of {REGULARIZERS} or 'CE', got {regularizer!r}")
     known = slice(None) if pooled else slice(0, n_known)
     unknown = slice(None) if pooled else slice(n_known, None)
     return [("IPS", known, alpha, zeta), (regularizer, unknown, 1.0 - alpha, tau)]
@@ -215,6 +222,8 @@ def combined_objective(
     variant: str = "WCE",
 ) -> float:
     """alpha * truncated IPS risk on S + (1 - alpha) * regularizer on S_u."""
+    if variant not in REGULARIZERS:
+        raise ValueError(f"variant must be one of {REGULARIZERS}, got {variant!r}")
     parts = objective_parts(variant, alpha, len(S), zeta, tau)
     check_nonempty(alpha, S, S_u)
     return _estimate(policy, S.concat(S_u), parts)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import (
+    BanditLog,
     SupervisedDataset,
     drop_action,
     fork_map,
@@ -21,9 +22,9 @@ from .data import (
     supervised_to_bandit,
     write_lines,
 )
-from .policy import SoftmaxPolicy, softmax
+from .policy import SoftmaxPolicy
 from .rng import derive_seed, stage_rng
-from .trainers import TRAINERS as _TRAINERS, TrainConfig
+from .trainers import TRAINERS as _TRAINERS, TrainConfig, _descend
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,16 @@ def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> SupervisedData
     return SupervisedDataset(features, labels)
 
 
-# minibatch cross-entropy fit of the logging policy
-LOGGING_STEPS = 500
-LOGGING_LEARNING_RATE = 0.05
-LOGGING_BATCH_SIZE = 64
+# the logging policy's minibatch cross-entropy fit: at alpha 0 the "CE" term
+# on the labelled rows is the whole objective
+LOGGING_TRAIN = TrainConfig(alpha=0.0, epochs=500, batch_unknown=64, learning_rate=0.05)
 
 
 def train_logging_policy(ds: SupervisedDataset, fraction: float, seed: int) -> SoftmaxPolicy:
-    """Fit a softmax policy by cross-entropy on a random ``fraction`` subsample."""
+    """Fit a softmax policy by cross-entropy on a random ``fraction`` subsample,
+    with the CRM trainers' loop; raises :class:`TrainingDiverged` as they do."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     rng = stage_rng(seed, "logging-policy")
     n_sub = int(round(fraction * len(ds)))
     if n_sub < ds.num_classes:
@@ -71,17 +74,12 @@ def train_logging_policy(ds: SupervisedDataset, fraction: float, seed: int) -> S
             f"fraction {fraction} leaves {n_sub} rows, fewer than {ds.num_classes} classes"
         )
     sub = ds.subset(np.sort(rng.permutation(len(ds))[:n_sub]))
-    policy = SoftmaxPolicy.create(ds.dim, ds.num_classes, rng=rng)
-    batch_size = min(LOGGING_BATCH_SIZE, n_sub)
-    for _ in range(LOGGING_STEPS):
-        idx = np.sort(rng.permutation(n_sub)[:batch_size])
-        X, y = sub.features[idx], sub.labels[idx]
-        scores, cache = policy.forward(X)
-        probs = softmax(scores)
-        dscores = probs.copy()
-        dscores[np.arange(len(y)), y] -= 1.0
-        dscores /= len(y)
-        policy.apply_update(policy.backward(cache, dscores), LOGGING_LEARNING_RATE)
+    init = SoftmaxPolicy.create(ds.dim, ds.num_classes, rng=rng)
+    # the labels as logged actions, on reward-free rows beside an empty rewarded log
+    labelled = BanditLog(sub.features, sub.labels, np.ones(n_sub), np.full(n_sub, np.nan),
+                         ds.num_classes)
+    cfg = replace(LOGGING_TRAIN, seed=derive_seed(seed, "logging-policy.train"))
+    policy, _ = _descend(labelled.take(slice(0, 0)), labelled, cfg, init, "CE", pooled=False)
     return policy
 
 

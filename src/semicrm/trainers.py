@@ -7,7 +7,8 @@ rows by :func:`semicrm.estimators.objective_parts`; one call to
 its value and gradient.  WCE-CRM and KL-CRM put the IPS term on the known rows
 and the regularizer on the unknown rows; PR-CRM puts the IPS and WCE terms on
 all rows, the unknown ones carrying pseudo-rewards.  :data:`TRAINERS` maps
-each algorithm name to its trainer.
+each algorithm name to its trainer.  The logging policy's cross-entropy fit
+(:func:`semicrm.harness.train_logging_policy`) runs the same loop.
 """
 
 from __future__ import annotations

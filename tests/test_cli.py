@@ -86,6 +86,14 @@ class TestPipeline:
             run("train", "--data", tmp_path / "missing.csv", "--out", tmp_path / "out.policy",
                 "--alpha", 1.5)
 
+    def test_logging_fraction_above_one_rejected(self, tmp_path):
+        # it once asked for 90 of 60 rows and failed with an IndexError
+        sup = tmp_path / "s.csv"
+        run("generate", "--out", sup, "--rows", 60, "--dim", 2, "--classes", 2)
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\], got 1.5"):
+            run("train-logging", "--data", sup, "--out", tmp_path / "p.pol", "--fraction", 1.5)
+        assert not (tmp_path / "p.pol").exists()
+
     def test_label_outside_policy_actions_rejected(self, tmp_path):
         sup, pol = tmp_path / "s.csv", tmp_path / "p.pol"
         sup.write_text("x0,label\n0.5,0\n1.5,4\n")

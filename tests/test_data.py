@@ -351,6 +351,15 @@ class TestBanditCsv:
             read_bandit_csv(path)
         assert err.value.line_number == 2
 
+    def test_first_faulty_field_in_column_order_is_reported(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("x0,action,propensity,reward\n1.0,0,0.5,-1\n2.0,-1,oops,2\n")
+        with pytest.raises(DatasetFormatError, match="line 3: negative action index -1"):
+            read_bandit_csv(path)
+        path.write_text("x0,action,propensity,reward\n2.0,1,1.5,2\n")
+        with pytest.raises(DatasetFormatError, match=r"line 2: propensity must be in \(0, 1\]"):
+            read_bandit_csv(path)
+
     def test_blank_line_counts_toward_line_numbers(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("x0,action,propensity,reward\n1.0,0,0.5,-1\n\n2.0,0,1.5,-1\n")
@@ -517,6 +526,21 @@ class TestBlockedCsvWrites:
         write_supervised_csv(path, label_concentrated_dataset(n=7))
         pids = pids_written(path)
         assert len(set(pids)) == 1 and os.getpid() not in pids  # one worker
+
+    def test_without_an_affinity_mask_blocks_are_formatted_in_this_process(
+            self, tmp_path, monkeypatch):
+        # as on macOS and Windows, where os.sched_getaffinity does not exist
+        ds = label_concentrated_dataset(n=semicrm.data.CSV_FORK_ROWS + 3616)
+        write_supervised_csv(tmp_path / "forked.csv", ds)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        write_supervised_csv(tmp_path / "here.csv", ds)
+        assert (tmp_path / "here.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 7)
+        monkeypatch.setattr(semicrm.data, "_supervised_rows",
+                            lambda ds, rows: f"{os.getpid()}\n")
+        write_supervised_csv(tmp_path / "here.csv", label_concentrated_dataset(n=7))
+        assert pids_written(tmp_path / "here.csv") == [os.getpid()] * 4
 
     def test_one_block_is_formatted_in_this_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)

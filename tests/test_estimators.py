@@ -226,6 +226,13 @@ class TestCombinedObjective:
         with pytest.raises(ValueError):
             combined_objective(policy, S, S_u, 1.2)
 
+    @pytest.mark.parametrize("variant", ["CE", "IPS", "CHI2"])
+    def test_only_the_papers_regularizers_are_variants(self, setup, variant):
+        # "CE" is a row term of the logging policy's fit, not a regularizer
+        policy, S, S_u = setup
+        with pytest.raises(ValueError, match="variant must be one of"):
+            combined_objective(policy, S, S_u, 0.5, variant=variant)
+
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_empty_rewarded_rows_rejected_when_ips_counts(self, setup, alpha):
         # an empty IPS part summed to 0.0 instead of failing as truncated_ips_risk does
@@ -391,6 +398,14 @@ class TestTermValues:
                 objective_parts("WCE", alpha, len(S), 0.05, 0.05)
         with pytest.raises(ValueError, match="regularizer"):
             objective_parts("CHI2", 0.5, len(S), 0.05, 0.05)
+
+    def test_cross_entropy_is_the_mean_negative_log_probability_of_the_labels(self):
+        rng = make_rng(35)
+        rows = random_unknowns(n=30, seed=36)
+        policy = SoftmaxPolicy.create(2, 3, (5,), rng)
+        (_, value), _ = term_values(policy, rows, objective_parts("CE", 0.0, 0))
+        log_pi = np.log(policy.probs_batch(rows.contexts)[np.arange(len(rows)), rows.actions])
+        assert value == pytest.approx(-np.mean(log_pi), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3000), st.sampled_from([7, 512, estimators.VALUE_BLOCK]),

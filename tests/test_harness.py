@@ -28,7 +28,7 @@ from semicrm.harness import (
 )
 from semicrm.policy import save_policy
 from semicrm.rng import make_rng
-from semicrm.trainers import TrainConfig
+from semicrm.trainers import TrainConfig, TrainingDiverged
 
 
 class TestSynthetic:
@@ -129,6 +129,41 @@ class TestLoggingPolicy:
         ds = generate_synthetic(spec, 100, 6)
         with pytest.raises(ValueError):
             train_logging_policy(ds, 0.01, 0)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_fraction_outside_the_unit_interval_rejected(self, fraction):
+        # 1.5 once asked for 300 of 200 rows and failed with an IndexError
+        ds = generate_synthetic(SyntheticSpec(dim=2, num_classes=2), 200, 6)
+        with pytest.raises(ValueError, match=rf"fraction must be in \(0, 1\], got {fraction}"):
+            train_logging_policy(ds, fraction, 0)
+
+    def test_full_fraction_is_accepted(self):
+        ds = generate_synthetic(SyntheticSpec(dim=2, num_classes=2), 50, 6)
+        assert train_logging_policy(ds, 1.0, 0).action_count == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_fit_raises(self):
+        # features of order 1e200 overflow the gradient at the first step
+        ds = generate_synthetic(SyntheticSpec(dim=3, num_classes=2), 200, 6)
+        huge = SupervisedDataset(ds.features * 1e200, ds.labels)
+        with pytest.raises(TrainingDiverged) as err:
+            train_logging_policy(huge, 0.5, 0)
+        assert err.value.step == 0
+
+    def test_fit_is_the_training_loop_on_the_cross_entropy_term(self, monkeypatch):
+        seen = []
+
+        def descend(S, S_u, cfg, init, regularizer, pooled):
+            seen.append((len(S), len(S_u), S_u.propensities.tolist(), cfg, regularizer, pooled))
+            return init, None
+
+        monkeypatch.setattr(harness, "_descend", descend)
+        ds = generate_synthetic(SyntheticSpec(dim=2, num_classes=2), 40, 6)
+        train_logging_policy(ds, 0.25, 0)
+        ((known, labelled, propensities, cfg, regularizer, pooled),) = seen
+        assert (known, labelled, propensities) == (0, 10, [1.0] * 10)
+        assert (cfg.alpha, cfg.epochs, cfg.batch_unknown, cfg.learning_rate) == (0.0, 500, 64, 0.05)
+        assert (regularizer, pooled) == ("CE", False)
 
 
 def tiny_config(**kw):
@@ -321,6 +356,24 @@ class TestParallelSweep:
         _, errors = run_experiment(tiny_config(alphas=(0.5,), repetitions=1))
         assert [e.rsplit(": ", 1)[1] for e in errors] == [str(os.getpid())]
         assert pools == []
+
+    def test_without_an_affinity_mask_cells_run_in_this_process(self, tmp_path, monkeypatch,
+                                                                 pools):
+        # as on macOS and Windows, where os.sched_getaffinity does not exist
+        run_experiment(tiny_config(output_dir=str(tmp_path / "forked")))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        run_experiment(tiny_config(output_dir=str(tmp_path / "here")))
+        assert len(pools) == 1
+        for name in ("metrics.csv", "summary.csv"):
+            assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes()
+
+        def fails_with_pid(S, S_u, cfg, init):
+            raise ValueError(os.getpid())
+
+        monkeypatch.setitem(harness._TRAINERS, "WCE", fails_with_pid)
+        _, errors = run_experiment(tiny_config())
+        assert [e.rsplit(": ", 1)[1] for e in errors] == [str(os.getpid())] * 4
+        assert len(pools) == 1
 
 
 class TestSummaries:

@@ -82,20 +82,12 @@ class TestObjectiveGradients:
         check_gradient(policy, lambda p: term_values(p, batch, parts)[0][0], grad)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_wce(self, seed):
+    @pytest.mark.parametrize("term", ["WCE", "KL", "CE"])
+    def test_regularizer(self, term, seed):
         _, S_u = random_batches(seed)
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 60))
         batch = S_u
-        parts = objective_parts("WCE", 0.0, 0, tau=0.05)
-        _, grad = term_values(policy, batch, parts, gradient=True)
-        check_gradient(policy, lambda p: term_values(p, batch, parts)[0][1], grad)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_kl(self, seed):
-        _, S_u = random_batches(seed)
-        policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 70))
-        batch = S_u
-        parts = objective_parts("KL", 0.0, 0, tau=0.05)
+        parts = objective_parts(term, 0.0, 0, tau=0.05)
         _, grad = term_values(policy, batch, parts, gradient=True)
         check_gradient(policy, lambda p: term_values(p, batch, parts)[0][1], grad)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BanditLog, write_lines
+from .data import BanditLog, draw_actions, write_lines
 
 
 @dataclass
@@ -66,8 +66,7 @@ class DiscreteEnvironment:
     def sample_logged(self, n: int, rng: np.random.Generator) -> BanditLog:
         """Draw n logged rows (x ~ P_X, a ~ logging policy); contexts are one-hot."""
         xs = rng.choice(self.num_contexts, size=n, p=self.context_probs)
-        cdf = np.cumsum(self.logging_table, axis=1)
-        acts = (rng.random(n)[:, None] > cdf[xs]).sum(axis=1)
+        acts = draw_actions(self.logging_table[xs], rng.random(n))
         return BanditLog(np.eye(self.num_contexts)[xs], acts, self.logging_table[xs, acts],
                          self.reward_table[xs, acts], self.action_count)
 

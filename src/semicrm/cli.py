@@ -26,6 +26,7 @@ from .data import (
 from .harness import (
     ExperimentConfig,
     SyntheticSpec,
+    check_logging_fraction,
     evaluate_policy,
     generate_synthetic,
     run_experiment,
@@ -45,6 +46,7 @@ def cmd_generate(args):
 
 
 def cmd_train_logging(args):
+    check_logging_fraction(args.fraction)  # before the read, which may take seconds
     ds = read_supervised_csv(args.data)
     policy = train_logging_policy(ds, args.fraction, args.seed)
     save_policy(policy, args.out)

@@ -160,6 +160,15 @@ CSV_BLOCK = 4096
 CSV_FORK_ROWS = 16384
 
 
+def draw_actions(P: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One action per row of the row-stochastic ``P`` by inverse CDF at the
+    uniforms ``u``: searchsorted(cumsum(p), u, side="right") for every row.  A u
+    at or above the row's float total takes its last positive-probability action,
+    so a row summing to a hair under 1 never yields action k."""
+    last_positive = P.shape[1] - 1 - (P[:, ::-1] > 0.0).argmax(axis=1)
+    return np.minimum((np.cumsum(P, axis=1) <= u[:, None]).sum(axis=1), last_positive)
+
+
 def supervised_to_bandit(
     ds: SupervisedDataset,
     logging_policy: SoftmaxPolicy,
@@ -180,7 +189,7 @@ def supervised_to_bandit(
             f"logging policy has {logging_policy.action_count} actions, "
             f"data has {ds.num_classes} classes"
         )
-    n, k = len(ds), logging_policy.action_count
+    n = len(ds)
     u = rng.random(n)  # the same stream as n calls to rng.random()
     actions = np.zeros(n, dtype=int)
     propensities = np.zeros(n)
@@ -188,10 +197,7 @@ def supervised_to_bandit(
         block = slice(start, start + TO_BANDIT_BLOCK)
         # probs, not probs_batch: each propensity is then probs(x)[a] exactly
         P = logging_policy.probs(ds.features[block])
-        # inverse CDF: searchsorted(cumsum(p), u, side="right") for every row; a u
-        # at or above the row's float total takes its last positive-probability action
-        last_positive = k - 1 - (P[:, ::-1] > 0.0).argmax(axis=1)
-        a = np.minimum((np.cumsum(P, axis=1) <= u[block, None]).sum(axis=1), last_positive)
+        a = draw_actions(P, u[block])
         actions[block], propensities[block] = a, P[np.arange(len(a)), a]
     rewards = np.where(actions == ds.labels, -1.0, 0.0)
     return BanditLog(ds.features, actions, propensities, rewards, logging_policy.action_count)

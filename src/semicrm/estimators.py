@@ -3,9 +3,10 @@
 Every objective is alpha * IPS + (1 - alpha) * a regularizer, each term a sum
 over rows that depends on the policy only through log pi(a_i|x_i).
 :data:`ROW_TERMS` maps log pi on the rows a term covers to per-row values and
-factors d value / d log pi, :func:`objective_parts` says which rows each term
-covers, and :func:`term_values` evaluates the parts for the estimators below
-and for the training loop in :mod:`semicrm.trainers`.
+factors d value / d log pi, and :func:`objective_parts` says which rows each
+term covers.  :func:`term_values` evaluates the parts for the estimators
+below, and :func:`value_and_grad` evaluates them with their gradient for the
+training loop in :mod:`semicrm.trainers`.
 
 All estimators are pure functions of (policy, log) and reduce in fixed
 left-to-right order, so repeated evaluation is bit-identical.
@@ -112,29 +113,21 @@ def objective_parts(regularizer: str, alpha: float, n_known: int, zeta: float = 
     return [("IPS", known, alpha, zeta), (regularizer, unknown, 1.0 - alpha, tau)]
 
 
-def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts,
-                gradient: bool = False) -> tuple[list[float], PolicyGradient | None]:
-    """The unscaled value of each part over ``rows`` from one forward pass and,
-    with ``gradient``, the gradient of sum_j scale_j * value_j (else None): a
-    factor f moves the scores of its row by f (e_a - pi(.|x)), so only the
-    gradient needs the full softmax and the backward pass.
+def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts) -> list[float]:
+    """The unscaled value of each part over ``rows``.
 
-    Without a gradient, log pi(a_i|x_i) comes from the log's memo, so scoring
-    one policy with several estimators on one log takes one forward pass.  Its
-    key holds everything log pi depends on besides the rows: the layer shapes,
-    the parameter bytes and the block size."""
-    log_pi = None
-    if not gradient and len(rows):  # an empty log is rejected below
-        key = (tuple(w.shape for w in policy.weights), policy.flat.tobytes(), VALUE_BLOCK)
-        log_pi = rows.memo(key, lambda: _value_log_pi(policy, rows.contexts, rows.actions))
-    return _term_values(policy, rows.contexts, rows.actions, rows.propensities,
-                        rows.rewards, parts, gradient, log_pi)
-
-
-def column_term_values(policy, contexts, actions, propensities, rewards, parts, gradient=False):
-    """:func:`term_values` over the four columns of a log, gathered by the caller;
-    nothing is kept between calls."""
-    return _term_values(policy, contexts, actions, propensities, rewards, parts, gradient)
+    log pi(a_i|x_i) comes from the log's memo, so scoring one policy with
+    several estimators on one log takes one forward pass.  Its key holds
+    everything log pi depends on besides the rows: the layer shapes, the
+    parameter bytes and the block size."""
+    if not len(rows):
+        raise ValueError("empty log")
+    key = (tuple(w.shape for w in policy.weights), policy.flat.tobytes(), VALUE_BLOCK)
+    log_pi = rows.memo(key, lambda: _value_log_pi(policy, rows.contexts, rows.actions))
+    return [float(np.sum(ROW_TERMS[term](log_pi[part], rows.actions[part],
+                                         rows.propensities[part], rows.rewards[part],
+                                         floor)[0]))
+            for term, part, _, floor in parts]
 
 
 def _value_log_pi(policy, contexts, actions) -> np.ndarray:
@@ -148,16 +141,16 @@ def _value_log_pi(policy, contexts, actions) -> np.ndarray:
     return log_pi
 
 
-def _term_values(policy, contexts, actions, propensities, rewards, parts, gradient,
-                 log_pi=None):
-    """The body of both; ``log_pi``, if given, serves a call without a gradient."""
+def value_and_grad(policy: SoftmaxPolicy, contexts, actions, propensities, rewards,
+                   parts) -> tuple[list[float], PolicyGradient]:
+    """:func:`term_values` over the four columns of a log, gathered by the caller,
+    and the gradient of sum_j scale_j * value_j, from one forward and one
+    backward pass: a factor f moves the scores of its row by f (e_a - pi(.|x)).
+    Nothing is kept between calls."""
     if not len(actions):
         raise ValueError("empty log")
-    if gradient:
-        scores, cache = policy.forward(contexts)
-        pi, log_pi = softmax_and_log_softmax(scores, actions)
-    elif log_pi is None:
-        log_pi = _value_log_pi(policy, contexts, actions)
+    scores, cache = policy.forward(contexts)
+    pi, log_pi = softmax_and_log_softmax(scores, actions)
     factors = np.zeros(len(actions))
     values = []
     for term, part, scale, floor in parts:
@@ -165,8 +158,6 @@ def _term_values(policy, contexts, actions, propensities, rewards, parts, gradie
                                         propensities[part], rewards[part], floor)
         factors[part] += scale * factor
         values.append(float(np.sum(value)))
-    if not gradient:
-        return values, None
     dscores = -factors[:, None] * pi
     dscores[np.arange(len(actions)), actions] += factors
     return values, policy.backward(cache, dscores)
@@ -177,7 +168,7 @@ def _estimate(policy: SoftmaxPolicy, rows: BanditLog, parts) -> float:
         check_floor("zeta" if term == "IPS" else "tau", floor)
         if term == "IPS":
             check_rewarded(rows.rewards[part])
-    values, _ = term_values(policy, rows, parts)
+    values = term_values(policy, rows, parts)
     return sum(scale * value for (_, _, scale, _), value in zip(parts, values))
 
 

@@ -62,11 +62,16 @@ def generate_synthetic(spec: SyntheticSpec, n: int, seed: int) -> SupervisedData
 LOGGING_TRAIN = TrainConfig(alpha=0.0, epochs=500, batch_unknown=64, learning_rate=0.05)
 
 
+def check_logging_fraction(fraction: float) -> None:
+    """Reject a share of labelled rows for the logging policy's fit outside (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"logging fraction must be in (0, 1], got {fraction}")
+
+
 def train_logging_policy(ds: SupervisedDataset, fraction: float, seed: int) -> SoftmaxPolicy:
     """Fit a softmax policy by cross-entropy on a random ``fraction`` subsample,
     with the CRM trainers' loop; raises :class:`TrainingDiverged` as they do."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    check_logging_fraction(fraction)
     rng = stage_rng(seed, "logging-policy")
     n_sub = int(round(fraction * len(ds)))
     if n_sub < ds.num_classes:
@@ -139,7 +144,8 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("logging_fraction", "keep_fraction", "alphas", "taus"):
+        check_logging_fraction(self.logging_fraction)
+        for name in ("keep_fraction", "alphas", "taus"):
             value = getattr(self, name)
             if not all(0.0 <= v <= 1.0 for v in np.atleast_1d(value)):
                 raise ValueError(f"{name} must be in [0, 1], got {value}")

@@ -3,8 +3,8 @@
 Every objective is alpha times the truncated IPS term plus (1 - alpha) times a
 regularizer term, laid out over a minibatch of known rows followed by unknown
 rows by :func:`semicrm.estimators.objective_parts`; one call to
-:func:`semicrm.estimators.column_term_values` on the gathered minibatch gives
-its value and gradient.  WCE-CRM and KL-CRM put the IPS term on the known rows
+:func:`semicrm.estimators.value_and_grad` on the gathered minibatch gives its
+value and gradient.  WCE-CRM and KL-CRM put the IPS term on the known rows
 and the regularizer on the unknown rows; PR-CRM puts the IPS and WCE terms on
 all rows, the unknown ones carrying pseudo-rewards.  :data:`TRAINERS` maps
 each algorithm name to its trainer.  The logging policy's cross-entropy fit
@@ -14,14 +14,13 @@ each algorithm name to its trainer.  The logging policy's cross-entropy fit
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import BanditLog, write_lines
-from .estimators import (check_floor, check_nonempty, check_rewarded, column_term_values,
-                         objective_parts)
+from .estimators import (check_floor, check_nonempty, check_rewarded, objective_parts,
+                         value_and_grad)
 from .policy import DimensionMismatchError, SoftmaxPolicy
 from .rng import make_rng
 
@@ -58,26 +57,17 @@ class TrainingDiverged(ValueError):
 
 @dataclass
 class TrainTrace:
-    """Per-step objective pieces; written as CSV epoch,ips_term,reg_term,grad_norm,seconds."""
+    """Per-step objective pieces; written as CSV epoch,ips_term,reg_term,grad_norm."""
 
-    epochs: list[int] = field(default_factory=list)
     ips_terms: list[float] = field(default_factory=list)
     reg_terms: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
-
-    def append(self, epoch, ips_term, reg_term, grad_norm, secs) -> None:
-        self.epochs.append(epoch)
-        self.ips_terms.append(ips_term)
-        self.reg_terms.append(reg_term)
-        self.grad_norms.append(grad_norm)
-        self.seconds.append(secs)
 
     def write_csv(self, path) -> None:
-        lines = ["epoch,ips_term,reg_term,grad_norm,seconds"]
-        for row in zip(self.epochs, self.ips_terms, self.reg_terms,
-                       self.grad_norms, self.seconds):
-            lines.append(f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g},{row[4]:.6f}")
+        lines = ["epoch,ips_term,reg_term,grad_norm"]
+        for epoch, (ips, reg, norm) in enumerate(zip(self.ips_terms, self.reg_terms,
+                                                     self.grad_norms)):
+            lines.append(f"{epoch},{ips:.17g},{reg:.17g},{norm:.17g}")
         write_lines(path, lines)
 
 
@@ -123,18 +113,19 @@ def _descend(
     trace = TrainTrace()
     rng = make_rng(cfg.seed)
     for step in range(cfg.epochs):
-        start = time.perf_counter()
         idx_known = _sample_indices(rng, n_known, batch_known)
         idx_unknown = _sample_indices(rng, n_unknown, batch_unknown)
         idx = np.concatenate([idx_known, n_known + idx_unknown])
-        (ips_value, reg_value), grad = column_term_values(
-            policy, *(column.take(idx, axis=0) for column in columns), parts, gradient=True)
+        (ips_value, reg_value), grad = value_and_grad(
+            policy, *(column.take(idx, axis=0) for column in columns), parts)
         grad_norm = grad.norm()
         if not all(map(math.isfinite, (ips_value, reg_value, grad_norm))):
             raise TrainingDiverged(step, f"ips_term={ips_value}, reg_term={reg_value}, "
                                          f"grad_norm={grad_norm}")
         policy.apply_update(grad, cfg.learning_rate)
-        trace.append(step, ips_value, reg_value, grad_norm, time.perf_counter() - start)
+        trace.ips_terms.append(ips_value)
+        trace.reg_terms.append(reg_value)
+        trace.grad_norms.append(grad_norm)
     if not np.all(np.isfinite(policy.flat)):
         raise TrainingDiverged(cfg.epochs - 1, "the update left non-finite parameters")
     return policy, trace
@@ -180,10 +171,13 @@ class RewardRegressor:
         return self.features(contexts, actions) @ self.weights
 
 
-def fit_reward_regressor(S: BanditLog, ridge: float = 1e-8) -> RewardRegressor:
+RIDGE = 1e-8
+
+
+def fit_reward_regressor(S: BanditLog) -> RewardRegressor:
     """Propensity-weighted least squares in closed form (normal equations).
 
-    Minimizes (1/P) sum p_i (r_i - phi_i . beta)^2 + ridge * |beta|^2 with
+    Minimizes (1/P) sum p_i (r_i - phi_i . beta)^2 + RIDGE * |beta|^2 with
     P = sum p_i over the rewarded rows S.  The one-hot block has a column for
     each of ``S.action_count`` actions; the tiny ridge keeps rank-deficient
     designs solvable, including the column of an action that no row of S took.
@@ -194,7 +188,7 @@ def fit_reward_regressor(S: BanditLog, ridge: float = 1e-8) -> RewardRegressor:
     reg = RewardRegressor(np.zeros(S.dim + S.action_count + 1), S.action_count)
     phi = reg.features(S.contexts, S.actions)
     w = S.propensities / total_p
-    gram = phi.T @ (w[:, None] * phi) + ridge * np.eye(phi.shape[1])
+    gram = phi.T @ (w[:, None] * phi) + RIDGE * np.eye(phi.shape[1])
     rhs = phi.T @ (w * S.rewards)
     reg.weights = np.linalg.solve(gram, rhs)
     return reg

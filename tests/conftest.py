@@ -2,6 +2,7 @@ import numpy as np
 
 from semicrm.bounds import DiscreteEnvironment
 from semicrm.data import BanditLog
+from semicrm.estimators import value_and_grad
 from semicrm.policy import SoftmaxPolicy
 from semicrm.rng import make_rng
 
@@ -33,6 +34,12 @@ def logging_table_policy(env: DiscreteEnvironment) -> SoftmaxPolicy:
 
 def sample_unknown(env: DiscreteEnvironment, m: int, rng) -> BanditLog:
     return env.sample_logged(m, rng).with_rewards(np.nan)
+
+
+def value_and_grad_of(policy: SoftmaxPolicy, rows: BanditLog, parts):
+    """``estimators.value_and_grad`` on the four columns of ``rows``."""
+    return value_and_grad(policy, rows.contexts, rows.actions, rows.propensities,
+                          rows.rewards, parts)
 
 
 def make_log(rows, action_count: int) -> BanditLog:

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_log, table_policy
+from conftest import make_log, table_policy, value_and_grad_of
 
 from semicrm.bounds import (
     BoundInputs,
@@ -239,17 +239,17 @@ def test_criterion_07_gradient_correctness():
         pr_parts = objective_parts("WCE", 0.6, len(known), 0.05, 0.05, pooled=True)
 
         def pr_value(p):
-            (ips, wce), _ = term_values(p, pooled, pr_parts)
+            ips, wce = term_values(p, pooled, pr_parts)
             return 0.6 * ips + 0.4 * wce
 
         objectives = [
-            (lambda p: term_values(p, known, ips_parts)[0][0],
-             term_values(policy, known, ips_parts, gradient=True)[1]),
-            (lambda p: term_values(p, unknown, wce_parts)[0][1],
-             term_values(policy, unknown, wce_parts, gradient=True)[1]),
-            (lambda p: term_values(p, unknown, kl_parts)[0][1],
-             term_values(policy, unknown, kl_parts, gradient=True)[1]),
-            (pr_value, term_values(policy, pooled, pr_parts, gradient=True)[1]),
+            (lambda p: term_values(p, known, ips_parts)[0],
+             value_and_grad_of(policy, known, ips_parts)[1]),
+            (lambda p: term_values(p, unknown, wce_parts)[1],
+             value_and_grad_of(policy, unknown, wce_parts)[1]),
+            (lambda p: term_values(p, unknown, kl_parts)[1],
+             value_and_grad_of(policy, unknown, kl_parts)[1]),
+            (pr_value, value_and_grad_of(policy, pooled, pr_parts)[1]),
         ]
         h = 1e-6
         for value_fn, grad in objectives:

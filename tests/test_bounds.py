@@ -43,6 +43,33 @@ class TestEnvironmentValidation:
             env_with([1.0], [[1.0, 0.0]], [[0.5, 0.5]], [[0.0, 0.0]])
 
 
+class TestSampleLogged:
+    def test_u_past_a_row_total_under_one_logs_the_last_action(self):
+        # the row sums to 1 - 5e-13, within the tolerance; a u above that total
+        # once counted every CDF entry and indexed action 3 of 3
+        class LastDraw:
+            def choice(self, n, size, p):
+                return np.zeros(size, dtype=int)
+
+            def random(self, n):
+                return np.full(n, 0.9999999999999)
+
+        row = [0.5, 0.25, 0.25 - 5e-13]
+        env = env_with([1.0], [row], [row], [[-1.0, -0.5, 0.0]])
+        assert np.cumsum(row)[-1] < 0.9999999999999
+        S = env.sample_logged(2, LastDraw())
+        assert S.actions.tolist() == [2, 2]
+        assert S.propensities.tolist() == [row[2]] * 2
+
+    def test_actions_follow_the_inverse_cdf_of_the_logging_table(self):
+        env = random_environment(make_rng(5), num_contexts=4, action_count=5)
+        S = env.sample_logged(2000, make_rng(6))
+        rng = make_rng(6)
+        xs = rng.choice(4, size=2000, p=env.context_probs)
+        cdf = np.cumsum(env.logging_table, axis=1)[xs]
+        assert np.array_equal(S.actions, (rng.random(2000)[:, None] > cdf).sum(axis=1))
+
+
 class TestExactTrueRisk:
     def test_zero_rewards(self):
         rng = make_rng(0)

@@ -47,7 +47,7 @@ class TestPipeline:
             "--alpha", "0.5", "--epochs", 20, "--trace", trace, "--seed", 2)
         assert load_policy(out_policy).input_dim == 3
         trace_lines = trace.read_text().splitlines()
-        assert trace_lines[0] == "epoch,ips_term,reg_term,grad_norm,seconds"
+        assert trace_lines[0] == "epoch,ips_term,reg_term,grad_norm"
         assert len(trace_lines) == 21
 
         capsys.readouterr()
@@ -93,6 +93,26 @@ class TestPipeline:
         with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\], got 1.5"):
             run("train-logging", "--data", sup, "--out", tmp_path / "p.pol", "--fraction", 1.5)
         assert not (tmp_path / "p.pol").exists()
+
+    def test_logging_fraction_is_checked_before_the_data_is_read(self, tmp_path):
+        # it was checked after the read, so a missing file raised FileNotFoundError
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\], got 1.5"):
+            run("train-logging", "--data", tmp_path / "missing.csv", "--out",
+                tmp_path / "p.pol", "--fraction", 1.5)
+
+    def test_seeded_training_runs_write_the_same_trace_bytes(self, tmp_path):
+        # the trace once carried each step's wall-clock seconds
+        sup, pol = tmp_path / "s.csv", tmp_path / "p.pol"
+        bandit, masked = tmp_path / "b.csv", tmp_path / "m.csv"
+        run("generate", "--out", sup, "--rows", 120, "--dim", 2, "--classes", 2)
+        run("train-logging", "--data", sup, "--out", pol, "--fraction", 0.3)
+        run("to-bandit", "--data", sup, "--policy", pol, "--out", bandit)
+        run("mask", "--data", bandit, "--out", masked, "--keep-fraction", 0.3)
+        for name in ("a", "b"):
+            run("train", "--data", masked, "--out", tmp_path / f"{name}.pol", "--alpha", 0.5,
+                "--epochs", 30, "--trace", tmp_path / f"{name}.csv", "--seed", 3)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.pol").read_bytes() == (tmp_path / "b.pol").read_bytes()
 
     def test_label_outside_policy_actions_rejected(self, tmp_path):
         sup, pol = tmp_path / "s.csv", tmp_path / "p.pol"

@@ -9,6 +9,7 @@ from conftest import (
     sample_unknown,
     table_policy,
     uniform_policy,
+    value_and_grad_of,
 )
 
 from semicrm import estimators
@@ -20,7 +21,6 @@ from semicrm.bounds import (
 )
 from semicrm.estimators import (
     ROW_TERMS,
-    column_term_values,
     combined_objective,
     ips_risk,
     kl_regularizer,
@@ -369,7 +369,7 @@ class TestUnderflow:
         assert math.isfinite(kl_regularizer(policy, S_u, 0.01))
         for regularizer in ("WCE", "KL"):
             parts = objective_parts(regularizer, 0.0, 0, tau=0.01)
-            (_, value), grad = term_values(policy, batch, parts, gradient=True)
+            (_, value), grad = value_and_grad_of(policy, batch, parts)
             assert math.isfinite(value)
             assert all(np.all(np.isfinite(g)) for g in grad.weights + grad.biases)
 
@@ -389,9 +389,8 @@ class TestTermValues:
             "PR": (S.concat(aug), objective_parts("WCE", 0.6, len(S), 0.05, 0.05, pooled=True)),
         }
         for rows, parts in cases.values():
-            values, no_grad = term_values(policy, rows, parts)
-            values_too, grad = term_values(policy, rows, parts, gradient=True)
-            assert no_grad is None and grad is not None
+            values = term_values(policy, rows, parts)
+            values_too, _ = value_and_grad_of(policy, rows, parts)
             assert np.array(values).tobytes() == np.array(values_too).tobytes()
         for alpha in (-0.1, 1.1):
             with pytest.raises(ValueError, match="alpha"):
@@ -399,11 +398,20 @@ class TestTermValues:
         with pytest.raises(ValueError, match="regularizer"):
             objective_parts("CHI2", 0.5, len(S), 0.05, 0.05)
 
+    def test_both_paths_reject_an_empty_log(self):
+        policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(37))
+        empty = random_unknowns(n=30, seed=38).take(slice(0, 0))
+        parts = objective_parts("WCE", 0.0, 0)
+        with pytest.raises(ValueError, match="empty log"):
+            term_values(policy, empty, parts)
+        with pytest.raises(ValueError, match="empty log"):
+            value_and_grad_of(policy, empty, parts)
+
     def test_cross_entropy_is_the_mean_negative_log_probability_of_the_labels(self):
         rng = make_rng(35)
         rows = random_unknowns(n=30, seed=36)
         policy = SoftmaxPolicy.create(2, 3, (5,), rng)
-        (_, value), _ = term_values(policy, rows, objective_parts("CE", 0.0, 0))
+        _, value = term_values(policy, rows, objective_parts("CE", 0.0, 0))
         log_pi = np.log(policy.probs_batch(rows.contexts)[np.arange(len(rows)), rows.actions])
         assert value == pytest.approx(-np.mean(log_pi), rel=1e-12)
 
@@ -428,8 +436,8 @@ class TestTermValues:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(policy, "forward", lambda X: seen.append(X) or forward(X))
             mp.setattr(estimators, "VALUE_BLOCK", block)
-            values, _ = column_term_values(policy, contexts, actions, propensities,
-                                           rewards, parts)
+            values = term_values(policy, BanditLog(contexts, actions, propensities, rewards, 5),
+                                 parts)
         assert [len(X) for X in seen] == [len(b) for b in blocks]
         assert all(X.base is contexts for X in seen)  # views, not gathered copies
         assert np.array(values).tobytes() == np.array(want).tobytes()
@@ -443,11 +451,11 @@ class TestTermValues:
         rows = S.concat(random_unknowns(n=30, seed=34))
         policy = SoftmaxPolicy.create(2, 3, (5,), rng)
         parts = objective_parts("WCE", 0.6, len(S), 0.05, 0.05)
-        whole, _ = term_values(policy, rows, parts, gradient=True)
+        whole, _ = value_and_grad_of(policy, rows, parts)
         forward, seen = policy.forward, []
         monkeypatch.setattr(policy, "forward", lambda X: seen.append(len(X)) or forward(X))
         monkeypatch.setattr(estimators, "VALUE_BLOCK", 7)
-        values, _ = term_values(policy, rows, parts)
+        values = term_values(policy, rows, parts)
         assert max(seen) <= 7 and sum(seen) == len(rows)
         assert values == pytest.approx(whole, rel=1e-12)
 

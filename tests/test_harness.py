@@ -465,6 +465,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{axis} must not be empty"):
             ExperimentConfig(**{axis: ()})
 
+    @pytest.mark.parametrize("bad", [0.0, 1.5, float("nan")])
+    def test_logging_fraction_outside_its_interval_rejected_when_built(self, bad):
+        # unchecked, 0.0 passed and run_experiment failed once the data was built
+        with pytest.raises(ValueError, match=rf"fraction must be in \(0, 1\], got {bad}"):
+            ExperimentConfig(logging_fraction=bad)
+
     @pytest.mark.parametrize("axis", ["alphas", "taus"])
     @pytest.mark.parametrize("bad", [-0.25, 1.5])
     def test_alpha_or_tau_outside_unit_interval_rejected_when_built(self, axis, bad):

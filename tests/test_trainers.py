@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_log, sample_unknown
+from conftest import make_log, sample_unknown, value_and_grad_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,8 +78,8 @@ class TestObjectiveGradients:
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 50))
         batch = S
         parts = objective_parts("WCE", 1.0, len(batch), zeta=0.1)
-        _, grad = term_values(policy, batch, parts, gradient=True)
-        check_gradient(policy, lambda p: term_values(p, batch, parts)[0][0], grad)
+        _, grad = value_and_grad_of(policy, batch, parts)
+        check_gradient(policy, lambda p: term_values(p, batch, parts)[0], grad)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("term", ["WCE", "KL", "CE"])
@@ -88,8 +88,8 @@ class TestObjectiveGradients:
         policy = SoftmaxPolicy.create(3, 3, (5,), make_rng(seed + 60))
         batch = S_u
         parts = objective_parts(term, 0.0, 0, tau=0.05)
-        _, grad = term_values(policy, batch, parts, gradient=True)
-        check_gradient(policy, lambda p: term_values(p, batch, parts)[0][1], grad)
+        _, grad = value_and_grad_of(policy, batch, parts)
+        check_gradient(policy, lambda p: term_values(p, batch, parts)[1], grad)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pseudo_reward(self, seed):
@@ -102,10 +102,10 @@ class TestObjectiveGradients:
         parts = objective_parts("WCE", 0.6, len(known), 0.05, 0.05, pooled=True)
 
         def value(p):
-            (ips, wce), _ = term_values(p, rows, parts)
+            ips, wce = term_values(p, rows, parts)
             return 0.6 * ips + 0.4 * wce
 
-        _, grad = term_values(policy, rows, parts, gradient=True)
+        _, grad = value_and_grad_of(policy, rows, parts)
         check_gradient(policy, value, grad)
 
 
@@ -122,11 +122,11 @@ class TestObjectiveGradients:
         ], 4)
         policy = SoftmaxPolicy.create(3, 4, (5,), make_rng(120))
         parts = objective_parts(regularizer, 0.6, 8, 0.05, 0.05)
-        values, grad = term_values(policy, rows, parts, gradient=True)
+        values, grad = value_and_grad_of(policy, rows, parts)
         assert all(map(math.isfinite, values)) and np.all(np.isfinite(grad.flat))
 
         def value(p):
-            ips, reg = term_values(p, rows, parts)[0]
+            ips, reg = term_values(p, rows, parts)
             return 0.6 * ips + 0.4 * reg
 
         check_gradient(policy, value, grad)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import warnings
@@ -158,6 +159,11 @@ CSV_BLOCK = 4096
 # fewest rows a CSV write forks for: on 2 cores a fresh process's first
 # write broke even with the serial one at 12k-14k rows and won from 16k
 CSV_FORK_ROWS = 16384
+# most bytes in a parsed block of a CSV read, whose body is parsed in the
+# calling process when it fits in one: on 2 cores a fresh process's first
+# read in two blocks broke even with the serial one at 5-8 MB (25k-36k rows
+# at d=10) and won from 10 MB, and 6 MiB splits a 100k-row file in four
+CSV_READ_BLOCK = 6 << 20
 
 
 def draw_actions(P: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -246,8 +252,9 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 # Reward-free rows leave the reward field empty.  Values are printed with
 # 17 significant digits so a write/read round trip is lossless.  Features and
 # rewards must be finite: NaN is how a reward-free row is held in memory.
-# Writes of CSV_FORK_ROWS rows or more format blocks of CSV_BLOCK rows in
-# forked workers, to the same bytes on any CPU count; the rest is serial.
+# Writes of CSV_FORK_ROWS rows or more format blocks of CSV_BLOCK rows, and
+# reads of a body over CSV_READ_BLOCK bytes parse blocks of it, in forked
+# workers, to the same bytes on any CPU count; the rest is serial.
 
 _INHERITED = None  # fn bound to its args by the fork_map that started this worker
 
@@ -321,11 +328,12 @@ def _read_lines(path):
 
 
 def _read_columns(path, tail: list, converters: dict, build):
-    """``build``, a data type's constructor, on the features and then the
-    ``tail`` fields (name, dtype, line parser) of every row, as numpy parses
-    them (``converters`` keyed by field name) or, when numpy refuses or warns (a
-    file with no rows warns; numpy 1.x only warns on an int written as a float)
-    or ``build`` rejects its columns, as :func:`_parse_lines` does."""
+    """``build``, a data type's constructor, on blocks of the features and then
+    the ``tail`` fields (name, dtype, line parser) of every row, as numpy
+    parses each block (``converters`` keyed by field name) or, when numpy
+    refuses or warns on one (a file with no rows warns; numpy 1.x only warns
+    on an int written as a float) or ``build`` fails, as :func:`_parse_lines`
+    parses the file, in one block."""
     lines = _read_lines(path)
     names = [name for name, _, _ in tail]
     lineno, header = next(lines, (1, None))
@@ -334,16 +342,60 @@ def _read_columns(path, tail: list, converters: dict, build):
     if header.split(",")[-len(names):] != names:
         raise DatasetFormatError(lineno, f"header must end with {','.join(names)}")
     d = header.count(",") + 1 - len(names)
+    blocks = fork_map(_parse_block, _body_blocks(path), path,
+                      [("x", float, (d,))] + [(n, t) for n, t, _ in tail],
+                      {d + names.index(k): f for k, f in converters.items()})
+    if None not in blocks:
+        try:
+            return build(blocks)
+        except ValueError:
+            pass  # below the handler, the line parser's error is not chained
+    blocks = None  # free them before the line parser runs
+    return build([_parse_lines(lines, d, [parse for _, _, parse in tail])])
+
+
+def _body_blocks(path) -> list:
+    """The byte spans of the blocks after the first line of ``path``: as few
+    as keep each within about CSV_READ_BLOCK bytes, of about equal size, each
+    from a line start to the next; [None] for one."""
+    with open(path, "rb") as fh:
+        fh.readline()  # the header
+        starts, end = [fh.tell()], os.fstat(fh.fileno()).st_size
+        n = -(-(end - starts[0]) // CSV_READ_BLOCK)
+        for i in range(1, n):
+            fh.seek(starts[0] + (end - starts[0]) * i // n - 1)
+            fh.readline()  # to the next line start
+            if starts[-1] < fh.tell() < end:
+                starts.append(fh.tell())
+    return list(zip(starts, starts[1:] + [end])) if len(starts) > 1 else [None]
+
+
+def _parse_block(path, dtype, converters: dict, span) -> list | None:
+    """One column per field of ``dtype`` over the rows in the byte ``span`` of
+    ``path`` (None: after the first line) as ``np.loadtxt`` parses them, or
+    None if it refuses them or warns."""
+    text = path
+    if span is not None:  # decoded, and newlines read, as open() reads a file
+        with open(path, "rb") as fh:
+            fh.seek(span[0])
+            text = io.TextIOWrapper(io.BytesIO(fh.read(span[1] - span[0])))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(path, dtype=[("x", float, (d,))] + [(n, t) for n, t, _ in tail],
-                              delimiter=",", comments=None, skiprows=1, ndmin=1, encoding=None,
-                              converters={d + names.index(k): f for k, f in converters.items()})
-        return build(*[np.array(rows[name]) for name in rows.dtype.names])
+            rows = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                              skiprows=int(span is None), encoding=None,
+                              converters=converters)
     except (ValueError, Warning):
-        rows = None  # free it; below the handler, the line parser's error is not chained
-    return build(*_parse_lines(lines, d, [parse for _, _, parse in tail]))
+        return None
+    return [np.array(rows[name]) for name in rows.dtype.names]
+
+
+def _join(blocks, groups=None) -> list:
+    """For each group of rows (default: all of them), every field's column over
+    ``blocks`` (lists of per-field columns): the rows ``group[i]`` of block i."""
+    groups = groups or [[slice(None)] * len(blocks)]
+    return [[np.concatenate([block[field][rows] for block, rows in zip(blocks, group)])
+             for field in range(len(blocks[0]))] for group in groups]
 
 
 def _parse_lines(lines, d: int, parsers) -> tuple:
@@ -407,12 +459,18 @@ def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     [-1, 0].  The format does not record the action count, so both parts take
     1 + the largest action in the file.
     """
-    log = _read_columns(path, [("action", np.int64, _index("action index")),
-                               ("propensity", float, _propensity), ("reward", float, _reward)],
-                        {"reward": _reward},
-                        lambda *cols: BanditLog(*cols, int(np.max(cols[1], initial=-1)) + 1))
-    rewarded = ~np.isnan(log.rewards)
-    return log.take(rewarded), log.take(~rewarded)
+    return _read_columns(path, [("action", np.int64, _index("action index")),
+                                ("propensity", float, _propensity), ("reward", float, _reward)],
+                         {"reward": _reward}, _bandit_parts)
+
+
+def _bandit_parts(blocks) -> tuple[BanditLog, BanditLog]:
+    """The logs of the rewarded and of the reward-free rows of ``blocks``,
+    each joined straight from them, with no log of every row."""
+    k = 1 + max(int(np.max(actions, initial=-1)) for _, actions, _, _ in blocks)
+    rewarded = [~np.isnan(rewards) for *_, rewards in blocks]
+    S, S_u = _join(blocks, [rewarded, [~rows for rows in rewarded]])
+    return BanditLog(*S, k), BanditLog(*S_u, k)
 
 
 def _supervised_rows(ds: SupervisedDataset, rows: slice) -> str:
@@ -427,4 +485,5 @@ def write_supervised_csv(path, ds: SupervisedDataset) -> None:
 
 
 def read_supervised_csv(path) -> SupervisedDataset:
-    return _read_columns(path, [("label", np.int64, _index("label"))], {}, SupervisedDataset)
+    return _read_columns(path, [("label", np.int64, _index("label"))], {},
+                         lambda blocks: SupervisedDataset(*_join(blocks)[0]))

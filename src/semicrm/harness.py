@@ -150,8 +150,12 @@ class ExperimentConfig:
             if not all(0.0 <= v <= 1.0 for v in np.atleast_1d(value)):
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         for name in ("algorithms", "alphas", "taus"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:  # named as first given: 0.5,0.50 repeats 0.5
+                raise ValueError(f"{name} repeats {values[values.index(repeats[0])]!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.train_rows < 1:

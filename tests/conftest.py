@@ -1,4 +1,7 @@
+import concurrent.futures
+
 import numpy as np
+import pytest
 
 from semicrm.bounds import DiscreteEnvironment
 from semicrm.data import BanditLog
@@ -62,3 +65,17 @@ def assert_same_rows(a: BanditLog, b: BanditLog) -> None:
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and x.dtype == y.dtype
         assert np.array_equal(x.view(np.uint8), y.view(np.uint8)), name
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """(workers, initargs) of every process pool that ``fork_map`` makes."""
+    made = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context, **kwargs):
+            made.append((max_workers, kwargs["initargs"]))
+            super().__init__(max_workers, mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return made

@@ -208,6 +208,13 @@ class TestSweepCommand:
             run("sweep", "-c", cfg_path, "-o", tmp_path / "out", "--train.zeta=2")
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_repeated_grid_value_fails_before_any_work(self, tmp_path):
+        with pytest.raises(ValueError, match="alphas repeats 0.5"):
+            run("sweep", "-o", tmp_path / "out", "--data.train_rows", "600",
+                "--data.test_rows", "200", "--experiment.alphas=0.5,0.50",
+                "--experiment.algorithms=WCE", "--train.epochs", "20")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run("sweep", "--bogus.key", "1")

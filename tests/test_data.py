@@ -589,6 +589,191 @@ class TestBlockedCsvWrites:
         assert multiprocessing.active_children() == []
 
 
+def _line_parser_ran(*args):
+    raise AssertionError("the line parser ran on a file numpy parses")
+
+
+def read_both(folder):
+    return read_bandit_csv(folder / "log.csv"), read_supervised_csv(folder / "sup.csv")
+
+
+def assert_same_reads(got, expected):
+    (S, S_u), ds = got
+    (S_x, S_u_x), ds_x = expected
+    assert_same_rows(S, S_x)
+    assert_same_rows(S_u, S_u_x)
+    for a, b in ((ds.features, ds_x.features), (ds.labels, ds_x.labels)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def block_starts(path) -> list[int]:
+    return [span[0] for span in semicrm.data._body_blocks(path) if span is not None]
+
+
+class TestBlockedCsvReads:
+    """Files whose body is larger than CSV_READ_BLOCK bytes are parsed in
+    blocks, one per forked worker; every column keeps the bytes of a serial
+    read."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_columns_do_not_depend_on_blocks_or_cpus(self, data):
+        n = data.draw(st.integers(1, 12), label="rows")
+        d = data.draw(st.integers(1, 3), label="d")
+        k = data.draw(st.integers(1, 4), label="k")
+        finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 0.0, 5e-324])
+        contexts = data.draw(arrays(float, (n, d), elements=finite))
+        rewards = data.draw(arrays(float, n, elements=st.floats(-1.0, 0.0) | st.just(np.nan)))
+        log = BanditLog(contexts, data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1))),
+                        data.draw(arrays(float, n, elements=st.floats(5e-324, 1.0))), rewards, k)
+        ds = SupervisedDataset(contexts, log.actions)
+        k_read = int(log.actions.max()) + 1  # what the file records of k
+        expected = tuple(replace(log.take(rows), action_count=k_read)
+                         for rows in (~np.isnan(rewards), np.isnan(rewards))), ds
+        block = data.draw(st.integers(1, 160), label="block bytes")
+        with tempfile.TemporaryDirectory() as tmp:
+            folder = Path(tmp)
+            write_bandit_csv(folder / "log.csv", log)
+            write_supervised_csv(folder / "sup.csv", ds)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semicrm.data, "_parse_lines", _line_parser_ran)
+                assert_same_reads(read_both(folder), expected)  # one block, in this process
+                mp.setattr(semicrm.data, "CSV_READ_BLOCK", block)
+                for cpus in ("one", "all", "none"):
+                    with pytest.MonkeyPatch.context() as cpu_mp:
+                        if cpus == "one":
+                            cpu_mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+                        elif cpus == "none":  # as on macOS and Windows
+                            cpu_mp.delattr(os, "sched_getaffinity")
+                        assert_same_reads(read_both(folder), expected)
+
+    def test_blocks_start_on_line_starts_and_split_the_body_evenly(self, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "log.csv"
+        write_bandit_csv(path, random_log(n=30))
+        text = path.read_bytes()
+        line_starts = [i + 1 for i in range(len(text)) if text[i:i + 1] == b"\n"]
+        body, longest = len(text) - line_starts[0], max(np.diff(line_starts))
+        for block in (1, 7, 50, 400, body - 1):
+            monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", block)
+            spans = semicrm.data._body_blocks(path)
+            assert spans[0][0] == line_starts[0] and spans[-1][1] == len(text)
+            assert [stop for _, stop in spans[:-1]] == [start for start, _ in spans[1:]]
+            assert {start for start, _ in spans} <= set(line_starts)
+            # as few blocks as keep each within a block and one line
+            assert len(spans) <= -(-body // block)
+            assert all(stop - start <= block + longest for start, stop in spans)
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", body)
+        assert semicrm.data._body_blocks(path) == [None]
+
+    def test_blocks_run_in_worker_processes(self, tmp_path, monkeypatch):
+        parse_block = semicrm.data._parse_block
+
+        def labelled_with_its_pid(*args):
+            columns = parse_block(*args)
+            columns[-1][:] = os.getpid()
+            return columns
+
+        monkeypatch.setattr(semicrm.data, "_parse_block", labelled_with_its_pid)
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", 64)
+        path = tmp_path / "sup.csv"
+        write_supervised_csv(path, label_concentrated_dataset(n=30))
+        pids = set(read_supervised_csv(path).labels.tolist())
+        assert os.getpid() not in pids and len(pids) <= len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert len(set(read_supervised_csv(path).labels.tolist()) - {os.getpid()}) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert set(read_supervised_csv(path).labels.tolist()) == {os.getpid()}
+
+    def test_a_body_that_fits_in_one_block_is_parsed_in_this_process(
+            self, tmp_path, monkeypatch, pools):
+        path = tmp_path / "log.csv"
+        write_bandit_csv(path, random_log(n=20))
+        read_bandit_csv(path)
+        assert pools == []  # the default block holds it
+        text = path.read_bytes()
+        body = len(text) - text.index(b"\n") - 1
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", body)
+        read_bandit_csv(path)
+        assert pools == []
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", body - 1)
+        read_bandit_csv(path)
+        assert [workers for workers, _ in pools] == [min(2, len(os.sched_getaffinity(0)))]
+
+    def test_crlf_and_no_final_newline_read_as_the_lf_file(self, tmp_path, monkeypatch):
+        S, S_u = mask_rewards(random_log(n=40), 0.5, make_rng(1))
+        lf = tmp_path / "lf.csv"
+        write_bandit_csv(lf, S.concat(S_u))
+        monkeypatch.setattr(semicrm.data, "_parse_lines", _line_parser_ran)
+        expected = read_bandit_csv(lf)  # one block
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", 100)
+        text = lf.read_bytes()
+        for name, variant in (("lf", text), ("crlf", text.replace(b"\n", b"\r\n")),
+                              ("no final newline", text[:-1]),
+                              ("crlf, no final newline", text.replace(b"\n", b"\r\n")[:-2])):
+            path = tmp_path / "variant.csv"
+            path.write_bytes(variant)
+            assert len(block_starts(path)) > 5, name
+            for got, want in zip(read_bandit_csv(path), expected):
+                assert_same_rows(got, want)
+
+    ROWS = [f"{i}.5,{i % 3},0.25,-1" for i in range(10, 30)]  # 15 bytes a line
+    HEADER = "x0,action,propensity,reward"
+
+    def test_blank_line_on_a_block_boundary_is_skipped_but_counted(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", 4 * 15)
+        expected = read_bandit_csv(_write(tmp_path / "plain.csv", self.HEADER, self.ROWS))
+        rows = self.ROWS[:4] + [""] + self.ROWS[4:]
+        path = _write(tmp_path / "blank.csv", self.HEADER, rows)
+        blank_at = len(self.HEADER) + 1 + 4 * 15
+        assert path.read_bytes()[blank_at:blank_at + 1] == b"\n"
+        assert blank_at in block_starts(path)
+        with monkeypatch.context() as mp:
+            mp.setattr(semicrm.data, "_parse_lines", _line_parser_ran)
+            for got, want in zip(read_bandit_csv(path), expected):
+                assert_same_rows(got, want)
+        # line 1 is the header and line 6 the blank one, so the 7th row is on line 9
+        rows[7] = rows[7].replace("0.25", "0")
+        with pytest.raises(DatasetFormatError, match="propensity") as err:
+            read_bandit_csv(_write(path, self.HEADER, rows))
+        assert err.value.line_number == 9
+
+    def test_faults_in_blocks_give_the_line_parsers_columns_or_error(self, tmp_path,
+                                                                     monkeypatch):
+        rows = [f"{i},{i % 3},0.5,{-(i % 2)}" for i in range(999)]
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", 1000)
+        expected = read_bandit_csv(_write(tmp_path / "plain.csv", self.HEADER, rows))
+        spelled = _respell(rows, 500, "500,", "5_00,")  # refused by numpy only
+        path = _write(tmp_path / "spelled.csv", self.HEADER, spelled)
+        at = path.read_bytes().index(b"5_00,")
+        starts = block_starts(path)
+        assert starts[0] < at and any(start > at for start in starts)  # a middle block
+        for got, want in zip(read_bandit_csv(path), expected):
+            assert_same_rows(got, want)
+        for bad_rows in (rows, spelled):
+            path = _write(tmp_path / "bad.csv", self.HEADER, bad_rows[:-1] + ["1,0,1.5,-1"])
+            assert path.read_bytes().index(b"1,0,1.5") > block_starts(path)[-1]
+            with pytest.raises(DatasetFormatError, match=r"propensity must be in \(0, 1\]"
+                               ) as err:
+                read_bandit_csv(path)
+            assert err.value.line_number == 1000
+
+    def test_no_worker_outlives_a_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", 50)
+        path = tmp_path / "log.csv"
+        write_bandit_csv(path, random_log(n=20))
+        read_bandit_csv(path)
+        assert multiprocessing.active_children() == []
+        text = path.read_text().splitlines()
+        path.write_text("\n".join(text[:-1] + ["1,2,0,1.5,-1"]) + "\n")
+        with pytest.raises(DatasetFormatError):
+            read_bandit_csv(path)
+        assert multiprocessing.active_children() == []
+
+
 # Both readers parse with numpy first and hand a file to the line parser when
 # numpy refuses it, warns about it or a column check fails.  These pin that
 # every file goes on to give the line parser's columns or its line-numbered

@@ -1,4 +1,3 @@
-import concurrent.futures
 import multiprocessing
 import os
 from dataclasses import FrozenInstanceError, astuple
@@ -290,20 +289,6 @@ def row_bits(row: MetricsRow) -> tuple:
     return tuple(v.hex() if isinstance(v, float) else v for v in astuple(row))
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """(workers, initargs) of every process pool a sweep makes."""
-    made = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context, **kwargs):
-            made.append((max_workers, kwargs["initargs"]))
-            super().__init__(max_workers, mp_context, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return made
-
-
 class TestParallelSweep:
     def test_rows_equal_cells_run_in_this_process(self, pools):
         rows, _ = run_experiment(tiny_config())
@@ -464,6 +449,19 @@ class TestConfig:
             experiment_config_from_keys({f"experiment.{axis}": ""})
         with pytest.raises(ValueError, match=f"{axis} must not be empty"):
             ExperimentConfig(**{axis: ()})
+
+    @pytest.mark.parametrize("axis, text, repeated", [
+        ("algorithms", "WCE,WCE", "'WCE'"),
+        ("algorithms", "logging,KL,logging", "'logging'"),
+        ("alphas", "0.5,0.50", "0.5"),
+        ("alphas", "0,0.25,-0", "0.0"),
+        ("taus", "0.001,0.01,1e-3", "0.001"),
+    ])
+    def test_repeated_sweep_value_rejected_when_built(self, axis, text, repeated):
+        # unchecked, each repeat trains its cells again and summary.csv counts
+        # and averages the duplicated rows
+        with pytest.raises(ValueError, match=f"{axis} repeats {repeated}"):
+            experiment_config_from_keys({f"experiment.{axis}": text})
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, float("nan")])
     def test_logging_fraction_outside_its_interval_rejected_when_built(self, bad):

@@ -68,6 +68,7 @@ def cmd_mask(args):
         raise SystemExit("input already contains unknown-reward rows")
     S, S_u = mask_rewards(known, args.keep_fraction, stage_rng(args.seed, "mask"),
                           stratify_by_action=args.stratify)
+    del known  # the parsed log, freed before the masked copy is built
     write_bandit_csv(args.out, S.concat(S_u))
     print(f"kept {len(S)} known / masked {len(S_u)} unknown rows into {args.out}")
 

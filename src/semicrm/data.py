@@ -259,21 +259,28 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 _INHERITED = None  # fn bound to its args by the fork_map that started this worker
 
 
-def fork_map(fn, items, *args) -> list:
-    """``[fn(*args, item) for item in items]``, for several items in forked
-    workers, one per CPU in the affinity mask (``taskset``) and at most one per
-    item.  ``fn`` and ``args`` reach them through the fork; only items and
-    results are pickled.  Where ``os.sched_getaffinity`` is missing (macOS,
-    Windows), every item runs in the caller."""
+def fork_map(fn, items, *args):
+    """An iterator of ``fn(*args, item)`` for each item, in item order, for
+    several items from forked workers, one per CPU in the affinity mask
+    (``taskset``) and at most one per item.  ``fn`` and ``args`` reach them
+    through the fork; only items and results are pickled.  Closing the
+    iterator early, or an error in an item, drops the items not yet started
+    and joins the workers.  Where ``os.sched_getaffinity`` is missing (macOS,
+    Windows), every item runs in the caller, as it is reached."""
     if len(items) <= 1 or not hasattr(os, "sched_getaffinity"):
-        return [fn(*args, item) for item in items]
+        for item in items:
+            yield fn(*args, item)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(items)),
-                             multiprocessing.get_context("fork"),
-                             initializer=partial(_inherit, fn), initargs=args) as pool:
-        return list(pool.map(_call_inherited, items))
+    pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(items)),
+                               multiprocessing.get_context("fork"),
+                               initializer=partial(_inherit, fn), initargs=args)
+    try:
+        yield from pool.map(_call_inherited, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _inherit(fn, *args):
@@ -292,15 +299,24 @@ def write_lines(path, lines) -> None:
 
 
 def _write_blocks(path, header: str, format_rows, data) -> None:
-    """``header`` and ``format_rows(data, rows)`` for each block of rows, all
-    formatted before the file is opened, so a failure leaves no file."""
+    """``header`` and ``format_rows(data, rows)`` for each block of rows, each
+    block written as it arrives to a temporary file beside ``path`` that then
+    replaces it, so a failure leaves ``path`` as it was and no temporary file."""
     n = len(data)
     blocks = ([slice(0, n)] if n < CSV_FORK_ROWS else
               [slice(start, start + CSV_BLOCK) for start in range(0, n, CSV_BLOCK)])
     formatted = fork_map(format_rows, blocks, data)
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(formatted)
+    partial_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial_path, "w", newline="") as fh:
+            fh.write(header + "\n")
+            fh.writelines(formatted)
+        os.replace(partial_path, path)
+    except BaseException:
+        formatted.close()  # drops the blocks not yet formatted and joins the workers
+        if os.path.exists(partial_path):
+            os.remove(partial_path)
+        raise
 
 
 def _bandit_rows(log: BanditLog, rows: slice) -> str:
@@ -342,9 +358,9 @@ def _read_columns(path, tail: list, converters: dict, build):
     if header.split(",")[-len(names):] != names:
         raise DatasetFormatError(lineno, f"header must end with {','.join(names)}")
     d = header.count(",") + 1 - len(names)
-    blocks = fork_map(_parse_block, _body_blocks(path), path,
-                      [("x", float, (d,))] + [(n, t) for n, t, _ in tail],
-                      {d + names.index(k): f for k, f in converters.items()})
+    blocks = list(fork_map(_parse_block, _body_blocks(path), path,
+                           [("x", float, (d,))] + [(n, t) for n, t, _ in tail],
+                           {d + names.index(k): f for k, f in converters.items()}))
     if None not in blocks:
         try:
             return build(blocks)

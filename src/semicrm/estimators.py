@@ -146,7 +146,8 @@ def value_and_grad(policy: SoftmaxPolicy, contexts, actions, propensities, rewar
     """:func:`term_values` over the four columns of a log, gathered by the caller,
     and the gradient of sum_j scale_j * value_j, from one forward and one
     backward pass: a factor f moves the scores of its row by f (e_a - pi(.|x)).
-    Nothing is kept between calls."""
+    A part that covers no rows reads 0.0 without running its term.  Nothing
+    is kept between calls."""
     if not len(actions):
         raise ValueError("empty log")
     scores, cache = policy.forward(contexts)
@@ -154,6 +155,9 @@ def value_and_grad(policy: SoftmaxPolicy, contexts, actions, propensities, rewar
     factors = np.zeros(len(actions))
     values = []
     for term, part, scale, floor in parts:
+        if not len(log_pi[part]):  # as float(np.sum([])) reads, with no term to run
+            values.append(0.0)
+            continue
         value, factor = ROW_TERMS[term](log_pi[part], actions[part],
                                         propensities[part], rewards[part], floor)
         factors[part] += scale * factor

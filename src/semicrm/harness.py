@@ -94,7 +94,10 @@ def evaluate_policy(
     """(expected_risk, accuracy) against true labels.
 
     Expected risk is computed exactly from the policy probabilities:
-    -(1/N) sum_i pi(label_i | x_i); accuracy uses the argmax action.
+    -(1/N) sum_i pi(label_i | x_i); accuracy uses the argmax action.  The
+    forward passes run over views of blocks of at most
+    ``estimators.VALUE_BLOCK`` rows, so the memory they take does not grow
+    with the test set.
     """
     if policy.input_dim != test.dim:
         raise ValueError(
@@ -104,10 +107,16 @@ def evaluate_policy(
         raise ValueError("no test rows to evaluate on")
     if test.labels.max() >= policy.action_count:
         raise ValueError(f"test labels must lie in [0, {policy.action_count})")
-    probs = policy.probs_batch(test.features)
-    idx = np.arange(len(test))
-    expected_risk = -float(np.mean(probs[idx, test.labels]))
-    accuracy = float(np.mean(np.argmax(probs, axis=1) == test.labels))
+    from .estimators import VALUE_BLOCK  # read per call, as the value path reads it
+
+    count = -(-len(test) // VALUE_BLOCK)
+    chosen, hits = [], []
+    for X, y in zip(np.array_split(test.features, count), np.array_split(test.labels, count)):
+        probs = policy.probs_batch(X)
+        chosen.append(probs[np.arange(len(y)), y])
+        hits.append(np.argmax(probs, axis=1) == y)
+    expected_risk = -float(np.mean(np.concatenate(chosen)))
+    accuracy = float(np.mean(np.concatenate(hits)))
     return expected_risk, accuracy
 
 
@@ -217,7 +226,7 @@ def run_experiment(
                                        logging_risk, logging_acc, 0.0))
                 continue
             cells += [(algorithm, alpha, tau, rep) for alpha in cfg.alphas for tau in cfg.taus]
-    outcomes = fork_map(_cell_outcome, cells, cfg, reps, test_ds)
+    outcomes = list(fork_map(_cell_outcome, cells, cfg, reps, test_ds))
     rows += [o for o in outcomes if isinstance(o, MetricsRow)]
     errors = [o for o in outcomes if isinstance(o, str)]
     rows.sort(key=lambda r: (r.algorithm, r.alpha, r.tau, r.seed))

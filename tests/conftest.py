@@ -1,4 +1,5 @@
 import concurrent.futures
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,3 +80,14 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return made
+
+
+def traced_peak(fn, *args) -> int:
+    """The most bytes that ``fn(*args)`` held at once, as ``tracemalloc`` counts
+    them: numpy reports its buffers to it, and Python objects are counted too."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

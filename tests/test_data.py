@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_same_rows, make_log
+from conftest import assert_same_rows, make_log, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -572,9 +572,10 @@ class TestBlockedCsvWrites:
         assert multiprocessing.active_children() == []
 
     def test_failed_block_raises_its_own_type_and_leaves_no_file(self, tmp_path, monkeypatch):
-        format_rows = semicrm.data._bandit_rows
+        format_rows, formatted = semicrm.data._bandit_rows, []
 
         def fails_on_the_third_block(log, rows):
+            formatted.append(rows.start)
             if rows.start == 6:
                 raise OverflowError(f"block at row {rows.start}")
             return format_rows(log, rows)
@@ -585,8 +586,43 @@ class TestBlockedCsvWrites:
         path = tmp_path / "log.csv"
         with pytest.raises(OverflowError, match="block at row 6"):
             write_bandit_csv(path, random_log(n=20))
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
         assert multiprocessing.active_children() == []
+        path.write_bytes(b"the file before\n")
+        with pytest.raises(OverflowError, match="block at row 6"):
+            write_bandit_csv(path, random_log(n=20))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"the file before\n"
+        assert multiprocessing.active_children() == []
+        monkeypatch.delattr(os, "sched_getaffinity")  # every block in this process
+        with pytest.raises(OverflowError, match="block at row 6"):
+            write_bandit_csv(path, random_log(n=20))
+        assert formatted[-3:] == [0, 3, 6]  # no block after the failed one
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"the file before\n"
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "a directory"
+        target.mkdir()
+        with pytest.raises(OSError):  # the rename onto a directory fails
+            write_bandit_csv(target, random_log(n=20))
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+        with pytest.raises(FileNotFoundError):
+            write_bandit_csv(tmp_path / "missing" / "log.csv", random_log(n=20))
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        # blocks are formatted in this process, where tracemalloc sees them
+        block = 512
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", block)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 0)
+        log = random_log(n=8 * block, d=10)
+        one_block = len(semicrm.data._bandit_rows(log, slice(0, block)))
+        two, eight = (traced_peak(write_bandit_csv, tmp_path / "log.csv",
+                                  log.take(np.arange(blocks * block)))
+                      for blocks in (2, 8))
+        assert abs(eight - two) < one_block
 
 
 def _line_parser_ran(*args):

@@ -4,14 +4,16 @@ from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
-from conftest import uniform_policy
+from conftest import traced_peak, uniform_policy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicrm.config import (
     CONFIG_KEYS,
     experiment_config_from_keys,
     parse_config_text,
 )
-from semicrm import harness
+from semicrm import estimators, harness, trainers
 from semicrm.data import SupervisedDataset
 from semicrm.harness import (
     METRICS_HEADER,
@@ -25,7 +27,7 @@ from semicrm.harness import (
     train_logging_policy,
     write_metrics_csv,
 )
-from semicrm.policy import save_policy
+from semicrm.policy import SoftmaxPolicy, save_policy, softmax_and_log_softmax
 from semicrm.rng import make_rng
 from semicrm.trainers import TrainConfig, TrainingDiverged
 
@@ -95,6 +97,43 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
             evaluate_policy(uniform_policy(3, 2), test)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000), st.sampled_from([7, 512, estimators.VALUE_BLOCK]),
+           st.integers(0, 2**32 - 1))
+    def test_blocks_are_views_with_the_bits_of_gathered_blocks(self, n, block, seed):
+        rng = make_rng(seed)
+        features = rng.standard_normal((n, 4))
+        test = SupervisedDataset(features, rng.integers(0, 5, n))
+        policy = SoftmaxPolicy.create(4, 5, (20, 20), rng)
+        # the gathered form: one index array per block of np.array_split
+        blocks = np.array_split(np.arange(n), -(-n // block))
+        probs = np.concatenate([policy.probs_batch(features[b]) for b in blocks])
+        want = (-float(np.mean(probs[np.arange(n), test.labels])),
+                float(np.mean(np.argmax(probs, axis=1) == test.labels)))
+        forward, seen = policy.forward, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policy, "forward", lambda X: seen.append(X) or forward(X))
+            mp.setattr(estimators, "VALUE_BLOCK", block)
+            got = evaluate_policy(policy, test)
+        assert [len(X) for X in seen] == [len(b) for b in blocks]
+        assert all(X.base is features for X in seen)  # views, not gathered copies
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_memory_does_not_grow_with_the_test_set(self, monkeypatch):
+        block = 512
+        monkeypatch.setattr(estimators, "VALUE_BLOCK", block)
+        rng = make_rng(8)
+        policy = SoftmaxPolicy.create(10, 5, (20, 20), rng)
+        test = SupervisedDataset(rng.standard_normal((8 * block, 10)),
+                                 rng.integers(0, 5, 8 * block))
+        one, two, eight = (traced_peak(evaluate_policy, policy,
+                                       test.subset(slice(0, blocks * block)))
+                           for blocks in (1, 2, 8))
+        # the per-row results take 9 bytes a row, twice while they are joined;
+        # a block's forward pass takes far more, so an evaluation that held
+        # more than one block would fail this
+        assert abs(eight - two) < one
+
 
 class TestLoggingPolicy:
     def test_accuracy_on_separable_data(self):
@@ -149,6 +188,21 @@ class TestLoggingPolicy:
             train_logging_policy(huge, 0.5, 0)
         assert err.value.step == 0
 
+    def test_fit_runs_no_row_term_on_zero_rows_and_keeps_its_bits(self, monkeypatch):
+        # the fit's rewarded log is empty, so its IPS part covers no rows
+        ds = generate_synthetic(SyntheticSpec(dim=3, num_classes=3), 400, 7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainers, "value_and_grad", every_term_value_and_grad)
+            reference = train_logging_policy(ds, 0.5, 7)
+        calls = []
+        for term, rows_term in list(estimators.ROW_TERMS.items()):
+            monkeypatch.setitem(estimators.ROW_TERMS, term,
+                                lambda log_pi, *rest, term=term, rows_term=rows_term:
+                                calls.append((term, len(log_pi))) or rows_term(log_pi, *rest))
+        policy = train_logging_policy(ds, 0.5, 7)
+        assert calls == [("CE", 64)] * 500
+        assert policy.flat.tobytes() == reference.flat.tobytes()
+
     def test_fit_is_the_training_loop_on_the_cross_entropy_term(self, monkeypatch):
         seen = []
 
@@ -163,6 +217,22 @@ class TestLoggingPolicy:
         assert (known, labelled, propensities) == (0, 10, [1.0] * 10)
         assert (cfg.alpha, cfg.epochs, cfg.batch_unknown, cfg.learning_rate) == (0.0, 500, 64, 0.05)
         assert (regularizer, pooled) == ("CE", False)
+
+
+def every_term_value_and_grad(policy, contexts, actions, propensities, rewards, parts):
+    """``estimators.value_and_grad`` with every part's row term run, also on a
+    part that covers no rows: the reference for the bits of a fit."""
+    scores, cache = policy.forward(contexts)
+    pi, log_pi = softmax_and_log_softmax(scores, actions)
+    factors, values = np.zeros(len(actions)), []
+    for term, part, scale, floor in parts:
+        value, factor = estimators.ROW_TERMS[term](log_pi[part], actions[part],
+                                                   propensities[part], rewards[part], floor)
+        factors[part] += scale * factor
+        values.append(float(np.sum(value)))
+    dscores = -factors[:, None] * pi
+    dscores[np.arange(len(actions)), actions] += factors
+    return values, policy.backward(cache, dscores)
 
 
 def tiny_config(**kw):

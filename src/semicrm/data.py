@@ -38,7 +38,7 @@ class BanditLog:
         for name, dtype in (("contexts", float), ("actions", int),
                             ("propensities", float), ("rewards", float)):
             object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
-        object.__setattr__(self, "_memo", None)
+        object.__setattr__(self, "_memo", {})
         n = len(self.actions)
         if self.contexts.ndim != 2 or len(self.contexts) != n or any(
             column.shape != (n,) for column in (self.actions, self.propensities, self.rewards)
@@ -67,13 +67,15 @@ class BanditLog:
         as its field name plus "s".  Remove it once the benchmark does not."""
         return self.propensities
 
-    def memo(self, key, compute):
-        """``compute()``, kept for the next call with an equal ``key``.  The log
-        keeps one (key, value) pair and replaces it on a miss, so the key must
-        hold everything the value depends on besides the log's rows."""
-        if self._memo is None or self._memo[0] != key:
-            object.__setattr__(self, "_memo", (key, compute()))
-        return self._memo[1]
+    def memo(self, slot, key, compute):
+        """``compute()``, kept in ``slot`` for the next call with an equal ``key``.
+        Each slot keeps one (key, value) pair and replaces it on a miss, so the
+        key must hold everything the value depends on besides the log's rows,
+        and the memory a log keeps is bounded by its number of slots."""
+        kept = self._memo.get(slot)
+        if kept is None or kept[0] != key:
+            kept = self._memo[slot] = (key, compute())
+        return kept[1]
 
     def take(self, idx) -> "BanditLog":
         """The rows at ``idx`` (indices or a boolean mask), in that order."""

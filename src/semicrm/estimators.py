@@ -2,11 +2,13 @@
 
 Every objective is alpha * IPS + (1 - alpha) * a regularizer, each term a sum
 over rows that depends on the policy only through log pi(a_i|x_i).
-:data:`ROW_TERMS` maps log pi on the rows a term covers to per-row values and
-factors d value / d log pi, and :func:`objective_parts` says which rows each
-term covers.  :func:`term_values` evaluates the parts for the estimators
-below, and :func:`value_and_grad` evaluates them with their gradient for the
-training loop in :mod:`semicrm.trainers`.
+:data:`ROW_TERMS` gives each term as two halves over the rows it covers: the
+per-row constants that do not depend on the policy, and the map from log pi
+and those constants to per-row values and factors d value / d log pi.
+:func:`objective_parts` says which rows each term covers.  :func:`term_values`
+evaluates the parts for the estimators below, and :func:`value_and_grad`
+evaluates them with their gradient for the training loop in
+:mod:`semicrm.trainers`.
 
 All estimators are pure functions of (policy, log) and reduce in fixed
 left-to-right order, so repeated evaluation is bit-identical.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import BanditLog
-from .policy import PolicyGradient, SoftmaxPolicy, softmax_and_log_softmax
+from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax_and_log_softmax
 
 
 def check_floor(name: str, floor: float) -> None:
@@ -43,6 +45,12 @@ def check_rewarded(rewards: np.ndarray) -> None:
         raise ValueError("IPS needs a reward on every row it covers")
 
 
+def _read_only(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _group_weights(actions: np.ndarray) -> np.ndarray:
     """Per-row weight 1/m_[a], counting m_[a] over the given rows only."""
     return 1.0 / np.bincount(actions)[actions]
@@ -50,50 +58,72 @@ def _group_weights(actions: np.ndarray) -> np.ndarray:
 
 # ---- row terms --------------------------------------------------------------
 #
-# term(log_pi, actions, propensities, rewards, floor) -> (values, factors)
-# Each array holds one entry per row the term covers; the estimate is
-# sum(values) and factors[i] = d sum(values) / d log pi(a_i|x_i).
+# Each term is a pair of halves over the rows it covers:
+#   constants(actions, propensities, rewards, floor) -> a tuple of per-row arrays
+#   that do not depend on the policy, and
+#   rows(log_pi, *constants) -> (values, factors).
+# The estimate is sum(values) and factors[i] = d sum(values) / d log pi(a_i|x_i).
 
 
-def _ips_rows(log_pi, actions, propensities, rewards, zeta):
+def _ips_constants(actions, propensities, rewards, zeta):
+    """The rewards and the floored denominators n max(zeta, p)."""
+    return rewards, len(actions) * np.maximum(propensities, zeta)
+
+
+def _ips_rows(log_pi, rewards, denominators):
     """Truncated IPS r pi / (n max(zeta, p)); as d pi / d log pi = pi, the
     factors equal the values."""
-    values = rewards * np.exp(log_pi) / (len(log_pi) * np.maximum(propensities, zeta))
+    values = rewards * np.exp(log_pi) / denominators
     return values, values
 
 
-def _wce_rows(log_pi, actions, propensities, rewards, tau):
-    """Truncated weighted cross-entropy -w max(tau, p) log pi, w = 1/m_[a]."""
-    factors = -_group_weights(actions) * np.maximum(propensities, tau)
+def _wce_constants(actions, propensities, rewards, tau):
+    """The WCE factors -w max(tau, p), w = 1/m_[a]."""
+    return (-_group_weights(actions) * np.maximum(propensities, tau),)
+
+
+def _linear_rows(log_pi, factors):
+    """A term linear in log pi, its factors being its constants: truncated
+    weighted cross-entropy -w max(tau, p) log pi, or cross-entropy -log pi / n."""
     return factors * log_pi, factors
 
 
-def _kl_rows(log_pi, actions, propensities, rewards, tau):
+def _kl_constants(actions, propensities, rewards, tau):
+    """The group weights w = 1/m_[a] and the floored log propensities log max(tau, p)."""
+    return _group_weights(actions), np.log(np.maximum(propensities, tau))
+
+
+def _kl_rows(log_pi, weights, log_floored):
     """Truncated forward KL w pi log(pi / max(tau, p)).
 
     The policy enters both factors, so the factor is w pi (log(pi / max(tau, p)) + 1).
     """
-    floored = np.maximum(propensities, tau)
-    weighted_pi = _group_weights(actions) * np.exp(log_pi)
-    log_ratio = log_pi - np.log(floored)
+    weighted_pi = weights * np.exp(log_pi)
+    log_ratio = log_pi - log_floored
     return weighted_pi * log_ratio, weighted_pi * (log_ratio + 1.0)
 
 
-def _rkl_rows(log_pi, actions, propensities, rewards, _floor):
+def _rkl_constants(actions, propensities, rewards, _floor):
+    """The WCE factors at tau = 0, -w p, and the policy-free constant -w p log p."""
+    (factors,) = _wce_constants(actions, propensities, rewards, 0.0)
+    return factors, factors * np.log(propensities)
+
+
+def _rkl_rows(log_pi, factors, p_log_p):
     """Reverse KL w (p log p - p log pi): WCE at tau = 0 plus the policy-free
-    constant w p log p (the WCE factors are -w p)."""
-    values, factors = _wce_rows(log_pi, actions, propensities, rewards, 0.0)
-    return values - factors * np.log(propensities), factors
+    constant w p log p."""
+    return factors * log_pi - p_log_p, factors
 
 
-def _ce_rows(log_pi, actions, propensities, rewards, _floor):
-    """Cross-entropy -log pi / n, the actions being labels: the logging policy's fit."""
-    factors = np.full(len(log_pi), -1.0) / len(log_pi)
-    return factors * log_pi, factors
+def _ce_constants(actions, propensities, rewards, _floor):
+    """The cross-entropy factors -1 / n, the actions being labels: the logging
+    policy's fit."""
+    return (np.full(len(actions), -1.0) / len(actions),)
 
 
-ROW_TERMS = {"IPS": _ips_rows, "WCE": _wce_rows, "KL": _kl_rows, "RKL": _rkl_rows,
-             "CE": _ce_rows}
+ROW_TERMS = {"IPS": (_ips_constants, _ips_rows), "WCE": (_wce_constants, _linear_rows),
+             "KL": (_kl_constants, _kl_rows), "RKL": (_rkl_constants, _rkl_rows),
+             "CE": (_ce_constants, _linear_rows)}
 REGULARIZERS = ("KL", "RKL", "WCE")  # the paper's; "CE" serves only the training loop
 VALUE_BLOCK = 16_384  # most rows per forward pass of a value-only evaluation
 
@@ -116,18 +146,23 @@ def objective_parts(regularizer: str, alpha: float, n_known: int, zeta: float = 
 def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts) -> list[float]:
     """The unscaled value of each part over ``rows``.
 
-    log pi(a_i|x_i) comes from the log's memo, so scoring one policy with
-    several estimators on one log takes one forward pass.  Its key holds
-    everything log pi depends on besides the rows: the layer shapes, the
-    parameter bytes and the block size."""
+    log pi(a_i|x_i) and each term's constants come from the log's memo, so
+    scoring one policy with several estimators on one log takes one forward
+    pass, and scoring another policy computes no constants again.  The log pi
+    key holds everything log pi depends on besides the rows: the layer shapes,
+    the parameter bytes and the block size; a term's key holds its rows and
+    its floor."""
     if not len(rows):
         raise ValueError("empty log")
     key = (tuple(w.shape for w in policy.weights), policy.flat.tobytes(), VALUE_BLOCK)
-    log_pi = rows.memo(key, lambda: _value_log_pi(policy, rows.contexts, rows.actions))
-    return [float(np.sum(ROW_TERMS[term](log_pi[part], rows.actions[part],
-                                         rows.propensities[part], rows.rewards[part],
-                                         floor)[0]))
-            for term, part, _, floor in parts]
+    log_pi = rows.memo("log_pi", key, lambda: _value_log_pi(policy, rows.contexts, rows.actions))
+    values = []
+    for term, part, _, floor in parts:
+        constants_of, rows_of = ROW_TERMS[term]
+        constants = rows.memo(term, (part, floor), lambda: _read_only(constants_of(
+            rows.actions[part], rows.propensities[part], rows.rewards[part], floor)))
+        values.append(float(np.sum(rows_of(log_pi[part], *constants)[0])))
+    return values
 
 
 def _value_log_pi(policy, contexts, actions) -> np.ndarray:
@@ -135,8 +170,7 @@ def _value_log_pi(policy, contexts, actions) -> np.ndarray:
     so that the memory it takes does not grow with the log."""
     count = -(-len(actions) // VALUE_BLOCK)
     blocks = zip(np.array_split(contexts, count), np.array_split(actions, count))
-    log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(x)[0], a)[1]
-                             for x, a in blocks])
+    log_pi = np.concatenate([log_softmax(policy.forward(x)[0], a) for x, a in blocks])
     log_pi.flags.writeable = False
     return log_pi
 
@@ -158,13 +192,16 @@ def value_and_grad(policy: SoftmaxPolicy, contexts, actions, propensities, rewar
         if not len(log_pi[part]):  # as float(np.sum([])) reads, with no term to run
             values.append(0.0)
             continue
-        value, factor = ROW_TERMS[term](log_pi[part], actions[part],
-                                        propensities[part], rewards[part], floor)
+        constants_of, rows_of = ROW_TERMS[term]
+        value, factor = rows_of(log_pi[part], *constants_of(
+            actions[part], propensities[part], rewards[part], floor))
         factors[part] += scale * factor
         values.append(float(np.sum(value)))
-    dscores = -factors[:, None] * pi
-    dscores[np.arange(len(actions)), actions] += factors
-    return values, policy.backward(cache, dscores)
+    dscores = pi.T  # (k, N), pi's own array: pi is not read again
+    dscores *= -factors
+    dscores[actions, np.arange(len(actions))] += factors
+    # backward's matmuls take C-order operands: an F-order view can change their bits
+    return values, policy.backward(cache, np.ascontiguousarray(dscores.T))
 
 
 def _estimate(policy: SoftmaxPolicy, rows: BanditLog, parts) -> float:
@@ -216,12 +253,19 @@ def combined_objective(
     tau: float = 0.0,
     variant: str = "WCE",
 ) -> float:
-    """alpha * truncated IPS risk on S + (1 - alpha) * regularizer on S_u."""
+    """alpha * truncated IPS risk on S + (1 - alpha) * regularizer on S_u.
+
+    Each term is scored on its own log, so it shares that log's memo with the
+    standalone estimators; a part with no rows reads 0.0 (its weight is 0)."""
     if variant not in REGULARIZERS:
         raise ValueError(f"variant must be one of {REGULARIZERS}, got {variant!r}")
-    parts = objective_parts(variant, alpha, len(S), zeta, tau)
+    objective_parts(variant, alpha, len(S), zeta, tau)  # rejects alpha outside [0, 1]
     check_nonempty(alpha, S, S_u)
-    return _estimate(policy, S.concat(S_u), parts)
+    check_floor("zeta", zeta)
+    check_floor("tau", tau)
+    ips = _estimate(policy, S, [("IPS", slice(None), 1.0, zeta)]) if len(S) else 0.0
+    reg = _estimate(policy, S_u, [(variant, slice(None), 1.0, tau)]) if len(S_u) else 0.0
+    return alpha * ips + (1.0 - alpha) * reg
 
 
 def pseudo_reward_objective(

@@ -151,28 +151,43 @@ class SoftmaxPolicy(_FlatParams):
         return p[0] if X.ndim == 1 else p
 
 
-def _softmax_body(scores: np.ndarray):
-    """The one softmax body: softmax(scores), the scores less their row max and the
-    exp's row sums, both folded over the k columns, skipping numpy's loop over short rows."""
-    shifted = scores - functools.reduce(np.maximum, scores.T)[:, None]
-    pi = np.exp(shifted)
+def _softmax_body(scores: np.ndarray, actions: np.ndarray | None = None):
+    """The one softmax body, feature-major: exp(scores less their row max) as a
+    (k, N) array, its row sums over the k rows, and, given ``actions``, the shifted
+    score of each row's action.
+
+    The subtraction writes the (k, N) array in one transposing pass, so exp, the
+    sums and the gather run over rows of N, not over N rows of k.  Nothing is
+    divided here: a caller that reads only log pi does not need pi."""
+    shifted = np.subtract(scores.T, functools.reduce(np.maximum, scores.T), order="C")
+    chosen = None if actions is None else shifted[actions, np.arange(len(actions))]
+    exp = np.exp(shifted, out=shifted)  # in place: no second (k, N) array
     # numpy sums a row of fewer than 8 left to right, as the fold does; from 8 on its
-    # pairwise sum keeps eight accumulators, whose bits the fold would not match
-    norm = functools.reduce(np.add, pi.T) if pi.shape[1] < 8 else pi.sum(axis=1)
-    pi /= norm[:, None]  # in place: no second (N, k) array
-    return pi, shifted, norm
+    # pairwise sum keeps eight accumulators, whose bits only a row-major copy matches
+    norm = functools.reduce(np.add, exp) if len(exp) < 8 else exp.T.copy().sum(axis=1)
+    return exp, norm, chosen
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
-    return _softmax_body(np.atleast_2d(scores))[0]
+    """Row-wise softmax with max subtraction, (N, k) as a view of a (k, N) array."""
+    exp, norm, _ = _softmax_body(np.atleast_2d(scores))
+    exp /= norm
+    return exp.T
 
 
 def softmax_and_log_softmax(scores: np.ndarray, actions: np.ndarray):
     """``softmax(scores)``, the same bits, and log pi(a_i|x_i) by log-sum-exp,
     finite wherever the scores are."""
-    pi, shifted, norm = _softmax_body(scores)
-    return pi, shifted[np.arange(len(actions)), actions] - np.log(norm)
+    exp, norm, chosen = _softmax_body(scores, actions)
+    exp /= norm
+    return exp.T, chosen - np.log(norm)
+
+
+def log_softmax(scores: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """log pi(a_i|x_i) alone, the bits of :func:`softmax_and_log_softmax`'s, without
+    dividing by the row sums."""
+    _, norm, chosen = _softmax_body(scores, actions)
+    return chosen - np.log(norm)
 
 
 # ---- checkpoint format -----------------------------------------------------
@@ -195,7 +210,7 @@ def save_policy(policy: SoftmaxPolicy, path) -> None:
             lines.append(" ".join(f"{v:.17g}" for v in row))
         lines.append(f"b{i}")
         lines.append(" ".join(f"{v:.17g}" for v in b))
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from semicrm.bounds import DiscreteEnvironment
 from semicrm.data import BanditLog
+from semicrm import estimators
 from semicrm.estimators import value_and_grad
 from semicrm.policy import SoftmaxPolicy
 from semicrm.rng import make_rng
@@ -44,6 +45,13 @@ def value_and_grad_of(policy: SoftmaxPolicy, rows: BanditLog, parts):
     """``estimators.value_and_grad`` on the four columns of ``rows``."""
     return value_and_grad(policy, rows.contexts, rows.actions, rows.propensities,
                           rows.rewards, parts)
+
+
+def run_row_term(term: str, log_pi, actions, propensities, rewards, floor):
+    """(values, factors) of ``estimators.ROW_TERMS[term]`` over the given rows:
+    its policy-free half on the columns, then its half that takes log pi."""
+    constants_of, rows_of = estimators.ROW_TERMS[term]
+    return rows_of(log_pi, *constants_of(actions, propensities, rewards, floor))
 
 
 def make_log(rows, action_count: int) -> BanditLog:

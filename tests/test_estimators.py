@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     make_log,
+    run_row_term,
     sample_unknown,
     table_policy,
     uniform_policy,
@@ -215,11 +216,27 @@ class TestCombinedObjective:
         assert got == kl_regularizer(policy, S_u, 0.01)
 
     def test_alpha_half_is_mean(self, setup):
+        # at every alpha, not only 0.5: the terms are the standalone estimates, bit for bit
         policy, S, S_u = setup
         risk = truncated_ips_risk(policy, S, 0.001)
-        reg = wce_regularizer(policy, S_u, 0.001)
-        got = combined_objective(policy, S, S_u, 0.5, 0.001, 0.001, "WCE")
-        assert got == pytest.approx(0.5 * risk + 0.5 * reg, abs=1e-12)
+        regs = {"WCE": wce_regularizer(policy, S_u, 0.002),
+                "KL": kl_regularizer(policy, S_u, 0.002), "RKL": rkl_regularizer(policy, S_u)}
+        for variant, reg in regs.items():
+            for alpha in (0.0, 0.1, 0.5, 0.9, 1.0):
+                got = combined_objective(policy, S, S_u, alpha, 0.001, 0.002, variant)
+                want = alpha * risk + (1 - alpha) * reg
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_terms_share_the_logs_memos_with_the_standalone_estimators(self, setup,
+                                                                       monkeypatch):
+        policy, S, S_u = setup
+        truncated_ips_risk(policy, S, 0.001)
+        wce_regularizer(policy, S_u, 0.002)
+        forward, rows = SoftmaxPolicy.forward, []
+        monkeypatch.setattr(SoftmaxPolicy, "forward",
+                            lambda self, X: rows.append(len(X)) or forward(self, X))
+        combined_objective(policy, S, S_u, 0.5, 0.001, 0.002, "WCE")
+        assert rows == []
 
     def test_alpha_out_of_range(self, setup):
         policy, S, S_u = setup
@@ -429,8 +446,8 @@ class TestTermValues:
         blocks = np.array_split(np.arange(n), -(-n // block))
         log_pi = np.concatenate([softmax_and_log_softmax(policy.forward(contexts[b])[0],
                                                          actions[b])[1] for b in blocks])
-        want = [float(np.sum(ROW_TERMS[term](log_pi[part], actions[part], propensities[part],
-                                             rewards[part], floor)[0]))
+        want = [float(np.sum(run_row_term(term, log_pi[part], actions[part],
+                                          propensities[part], rewards[part], floor)[0]))
                 for term, part, _, floor in parts]
         forward, seen = policy.forward, []
         with pytest.MonkeyPatch.context() as mp:
@@ -572,6 +589,60 @@ class TestLogPiMemo:
         wce_regularizer(policy, S, 0.1)
         for derived in (S_u.take(slice(None)), S_u.concat(S_u.take([])),
                         S_u.with_rewards(-0.5), S.with_rewards(np.nan)):
+            assert derived._memo == {}  # no log pi and no term's constants
             del forwarded[:]
             wce_regularizer(policy, derived, 0.1)
             assert sum(forwarded) == len(derived)
+
+
+class TestConstantsMemo:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The term of every call to a term's policy-free half, in order."""
+        calls = []
+        for term, (constants_of, rows_of) in list(ROW_TERMS.items()):
+            monkeypatch.setitem(ROW_TERMS, term, (
+                lambda *columns, term=term, constants_of=constants_of:
+                calls.append(term) or constants_of(*columns), rows_of))
+        return calls
+
+    @pytest.fixture
+    def logs(self):
+        rng = make_rng(50)
+        S = BanditLog(rng.standard_normal((40, 2)), rng.integers(0, 3, 40),
+                      rng.uniform(0.05, 1.0, 40), rng.uniform(-1.0, 0.0, 40), 3)
+        return S, random_unknowns(n=70, seed=51)
+
+    def test_eight_policies_compute_each_terms_constants_once_per_log(self, logs, computed):
+        S, S_u = logs
+        policies = [SoftmaxPolicy.create(2, 3, (5,), make_rng([52, j])) for j in range(8)]
+        scored = [estimates(policy, S, S_u, 0.05) for policy in policies]
+        assert sorted(computed) == ["IPS", "KL", "RKL", "WCE"]
+        assert scored == [estimates(policy, fresh(S), fresh(S_u), 0.05) for policy in policies]
+
+    def test_a_new_floor_recomputes_them(self, logs, computed):
+        _, S_u = logs
+        policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(53))
+        for tau in (0.1, 0.1, 0.3, 0.3, 0.1):
+            assert wce_regularizer(policy, S_u, tau) == wce_regularizer(policy, fresh(S_u), tau)
+        assert computed.count("WCE") == 3 + 5  # the fresh logs compute them every time
+
+    def test_a_log_holds_at_most_one_entry_per_term_slot(self, logs):
+        S, S_u = logs
+        for j in range(4):
+            policy = SoftmaxPolicy.create(2, 3, (5,), make_rng([54, j]))
+            for floor in (0.0, 0.05, 0.5):
+                estimates(policy, S, S_u, floor)
+        assert set(S._memo) == {"log_pi", "IPS"}
+        assert set(S_u._memo) == {"log_pi", "KL", "RKL", "WCE"}
+        assert S_u._memo["WCE"][0] == (slice(None), 0.5)
+        held = sum(a.nbytes for _, value in S_u._memo.values()
+                   for a in (value if isinstance(value, tuple) else (value,)))
+        assert held <= 6 * len(S_u) * 8  # log pi, 2 for KL, 2 for RKL, 1 for WCE
+
+    def test_constants_are_read_only(self, logs):
+        _, S_u = logs
+        kl_regularizer(SoftmaxPolicy.create(2, 3, (5,), make_rng(55)), S_u, 0.1)
+        for constant in S_u._memo["KL"][1]:
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 1.0

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
-from conftest import traced_peak, uniform_policy
+from conftest import run_row_term, traced_peak, uniform_policy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,10 +195,10 @@ class TestLoggingPolicy:
             mp.setattr(trainers, "value_and_grad", every_term_value_and_grad)
             reference = train_logging_policy(ds, 0.5, 7)
         calls = []
-        for term, rows_term in list(estimators.ROW_TERMS.items()):
-            monkeypatch.setitem(estimators.ROW_TERMS, term,
-                                lambda log_pi, *rest, term=term, rows_term=rows_term:
-                                calls.append((term, len(log_pi))) or rows_term(log_pi, *rest))
+        for term, (constants_of, rows_of) in list(estimators.ROW_TERMS.items()):
+            monkeypatch.setitem(estimators.ROW_TERMS, term, (
+                constants_of, lambda log_pi, *rest, term=term, rows_of=rows_of:
+                calls.append((term, len(log_pi))) or rows_of(log_pi, *rest)))
         policy = train_logging_policy(ds, 0.5, 7)
         assert calls == [("CE", 64)] * 500
         assert policy.flat.tobytes() == reference.flat.tobytes()
@@ -226,13 +226,14 @@ def every_term_value_and_grad(policy, contexts, actions, propensities, rewards, 
     pi, log_pi = softmax_and_log_softmax(scores, actions)
     factors, values = np.zeros(len(actions)), []
     for term, part, scale, floor in parts:
-        value, factor = estimators.ROW_TERMS[term](log_pi[part], actions[part],
-                                                   propensities[part], rewards[part], floor)
+        value, factor = run_row_term(term, log_pi[part], actions[part],
+                                     propensities[part], rewards[part], floor)
         factors[part] += scale * factor
         values.append(float(np.sum(value)))
     dscores = -factors[:, None] * pi
     dscores[np.arange(len(actions)), actions] += factors
-    return values, policy.backward(cache, dscores)
+    # backward's products take C-order operands, as value_and_grad hands them
+    return values, policy.backward(cache, np.ascontiguousarray(dscores))
 
 
 def tiny_config(**kw):

@@ -1,14 +1,22 @@
+import _pyio
+import os
+
 import numpy as np
 import pytest
+from conftest import run_row_term
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semicrm.policy
+from semicrm import estimators
+from semicrm.estimators import objective_parts, value_and_grad
 from semicrm.policy import (
     DimensionMismatchError,
     PolicyGradient,
     SoftmaxPolicy,
     _softmax_body,
     load_policy,
+    log_softmax,
     save_policy,
     softmax,
     softmax_and_log_softmax,
@@ -210,11 +218,88 @@ class TestKernelBits:
     @given(st.integers(1, 16), st.integers(1, 3000), st.sampled_from([0.1, 3.0, 40.0]),
            st.integers(0, 2**32 - 1))
     def test_row_sum_matches_numpy_for_every_k(self, k, n, scale, seed):
-        scores = scale * make_rng(seed).standard_normal((n, k))
-        pi, shifted, norm = _softmax_body(scores)
-        assert same_bits(shifted, scores - scores.max(axis=1, keepdims=True))
+        rng = make_rng(seed)
+        scores, actions = scale * rng.standard_normal((n, k)), rng.integers(0, k, n)
+        exp, norm, chosen = _softmax_body(scores, actions)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        assert exp.shape == (k, n) and exp.flags.c_contiguous
+        assert same_bits(exp, np.exp(shifted).T)
         assert same_bits(norm, np.exp(shifted).sum(axis=1))
+        assert same_bits(chosen, shifted[np.arange(n), actions])
+
+
+def feature_major_case(k, n, scale, zeros, seed):
+    """A linear policy, contexts, actions, propensities and rewards for one case:
+    the identity layer makes the scores the contexts (up to the sign of a zero),
+    of magnitude up to about ``scale``, a ``zeros`` share of them 0.0 or -0.0
+    and so tied."""
+    rng = make_rng(seed)
+    policy = SoftmaxPolicy([np.eye(k)], [np.zeros(k)])
+    X = scale * rng.standard_normal((n, k))
+    tied = rng.random((n, k)) < zeros
+    X[tied] = rng.choice([0.0, -0.0], tied.sum())
+    return (policy, X, rng.integers(0, k, n), rng.uniform(0.05, 1.0, n),
+            rng.uniform(-1.0, 0.0, n))
+
+
+FEATURE_MAJOR_CASES = st.tuples(
+    st.integers(1, 16),                                   # k, both sides of the k < 8 fold
+    st.integers(1, 3000),                                 # n
+    st.sampled_from([1e-3, 1.0, 40.0, 1e10, 1e300]),      # score scale
+    st.sampled_from([0.0, 0.5]),                          # share of zero scores
+    st.integers(0, 2**32 - 1),                            # seed
+)
+
+
+class TestFeatureMajorKernels:
+    """The feature-major softmax body, the value path's log pi and the training
+    path's score gradients give the bits of the out-of-place row-major forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(FEATURE_MAJOR_CASES)
+    def test_body_matches_the_row_major_form(self, case):
+        policy, X, actions, _, _ = feature_major_case(*case)
+        scores = policy.forward(X)[0]
+        pi, log_pi = softmax_and_log_softmax(scores, actions)
         assert same_bits(pi, reference_softmax(scores))
+        assert same_bits(softmax(scores), reference_softmax(scores))
+        assert same_bits(policy.probs_batch(X), reference_softmax(scores))
+        assert same_bits(log_pi, reference_log_softmax(scores, actions))
+        assert same_bits(log_softmax(scores, actions), log_pi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(FEATURE_MAJOR_CASES)
+    def test_value_path_log_pi_matches_the_row_major_form(self, case):
+        policy, X, actions, _, _ = feature_major_case(*case)
+        log_pi = estimators._value_log_pi(policy, X, actions)
+        assert same_bits(log_pi, reference_log_softmax(policy.forward(X)[0], actions))
+
+    @settings(max_examples=60, deadline=None)
+    @given(FEATURE_MAJOR_CASES, st.sampled_from(["WCE", "KL", "RKL"]))
+    def test_training_score_gradients_match_the_row_major_form(self, case, regularizer):
+        policy, X, actions, propensities, rewards = feature_major_case(*case)
+        n = len(actions)
+        parts = objective_parts(regularizer, 0.6, n // 3, 0.05, 0.05)
+        scores = policy.forward(X)[0]
+        seen = []
+        policy.backward = lambda cache, dscores: seen.append(dscores)
+        values, _ = value_and_grad(policy, X, actions, propensities, rewards, parts)
+        log_pi = reference_log_softmax(scores, actions)
+        factors, want_values = np.zeros(n), []
+        for term, part, scale, floor in parts:
+            if len(actions[part]):
+                value, factor = run_row_term(term, log_pi[part], actions[part],
+                                             propensities[part], rewards[part], floor)
+                factors[part] += scale * factor
+                want_values.append(float(np.sum(value)))
+            else:
+                want_values.append(0.0)
+        want = -factors[:, None] * reference_softmax(scores)
+        want[np.arange(n), actions] += factors
+        (dscores,) = seen
+        assert dscores.flags.c_contiguous  # backward's products take C-order operands
+        assert same_bits(dscores, want)
+        assert np.array(values).tobytes() == np.array(want_values).tobytes()
 
 
 class TestGradScalar:
@@ -333,6 +418,16 @@ class TestCheckpoint:
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(p.biases, q.biases):
             assert np.array_equal(b1, b2)
+
+    def test_lines_end_in_a_newline_alone_on_every_platform(self, tmp_path, monkeypatch):
+        # _pyio's text layer turns "\n" into os.linesep as the C layer does on
+        # Windows, and reads os.linesep when a file is opened, unlike the C layer
+        monkeypatch.setattr(semicrm.policy, "open", _pyio.open, raising=False)
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        path = tmp_path / "golden.policy"
+        save_policy(SoftmaxPolicy(**GOLDEN_POLICY), path)
+        assert b"\r" not in path.read_bytes()
+        assert path.read_bytes() == GOLDEN_CHECKPOINT
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

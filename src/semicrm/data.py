@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 import warnings
 from array import array
@@ -39,6 +40,8 @@ class BanditLog:
                             ("propensities", float), ("rewards", float)):
             object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
         object.__setattr__(self, "_memo", {})
+        if operator.index(self.action_count) < 0:  # 0 for an empty log; a float raises
+            raise ValueError(f"action_count must be >= 0, got {self.action_count}")
         n = len(self.actions)
         if self.contexts.ndim != 2 or len(self.contexts) != n or any(
             column.shape != (n,) for column in (self.actions, self.propensities, self.rewards)
@@ -151,13 +154,13 @@ class DatasetFormatError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-# rows per stacked forward in supervised_to_bandit: bounds its activations
-# (about 0.4 MB a block at the default widths); its speed is flat from 512
-# to 8192 rows
-TO_BANDIT_BLOCK = 1024
-# rows per formatted block of a CSV write: on 2 cores a 100k-row write is
-# within 15% of its best time for any block from 2048 to 16384 rows
-CSV_BLOCK = 4096
+# most rows per block cut by even_blocks: of a forward pass of the value path
+# or evaluate_policy, whose GEMM bits depend on the cuts; of supervised_to_bandit
+# or a CSV write, whose output does not but whose memory does (on 2 cores a
+# 100k-row write is within 15% of its best time for blocks of 2048 to 16384
+# rows, and 16384-row write blocks raised pipeline_large's peak RSS by 6 MB)
+ROW_BLOCK = 16_384
+STREAM_BLOCK = 4096
 # fewest rows a CSV write forks for: on 2 cores a fresh process's first
 # write broke even with the serial one at 12k-14k rows and won from 16k
 CSV_FORK_ROWS = 16384
@@ -166,6 +169,15 @@ CSV_FORK_ROWS = 16384
 # read in two blocks broke even with the serial one at 5-8 MB (25k-36k rows
 # at d=10) and won from 10 MB, and 6 MiB splits a 100k-row file in four
 CSV_READ_BLOCK = 6 << 20
+
+
+def even_blocks(n: int, most: int) -> list[slice]:
+    """The slices of range(n) that numpy's ``array_split`` cuts into as few
+    blocks as keep each within ``most`` items: the first n % count one longer."""
+    count = -(-n // most)
+    size, extra = divmod(n, max(count, 1))
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 def draw_actions(P: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -189,20 +201,15 @@ def supervised_to_bandit(
     the label and 0 otherwise.  The log has the logging policy's action count.
     """
     if logging_policy.input_dim != ds.dim:
-        raise ValueError(
-            f"logging policy expects d={logging_policy.input_dim}, data has d={ds.dim}"
-        )
+        raise ValueError(f"logging policy expects d={logging_policy.input_dim}, "
+                         f"data has d={ds.dim}")
     if logging_policy.action_count < ds.num_classes:
-        raise ValueError(
-            f"logging policy has {logging_policy.action_count} actions, "
-            f"data has {ds.num_classes} classes"
-        )
+        raise ValueError(f"logging policy has {logging_policy.action_count} actions, "
+                         f"data has {ds.num_classes} classes")
     n = len(ds)
     u = rng.random(n)  # the same stream as n calls to rng.random()
-    actions = np.zeros(n, dtype=int)
-    propensities = np.zeros(n)
-    for start in range(0, n, TO_BANDIT_BLOCK):
-        block = slice(start, start + TO_BANDIT_BLOCK)
+    actions, propensities = np.zeros(n, dtype=int), np.zeros(n)
+    for block in even_blocks(n, STREAM_BLOCK):
         # probs, not probs_batch: each propensity is then probs(x)[a] exactly
         P = logging_policy.probs(ds.features[block])
         a = draw_actions(P, u[block])
@@ -254,7 +261,7 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 # Reward-free rows leave the reward field empty.  Values are printed with
 # 17 significant digits so a write/read round trip is lossless.  Features and
 # rewards must be finite: NaN is how a reward-free row is held in memory.
-# Writes of CSV_FORK_ROWS rows or more format blocks of CSV_BLOCK rows, and
+# Writes of CSV_FORK_ROWS rows or more format blocks of STREAM_BLOCK rows, and
 # reads of a body over CSV_READ_BLOCK bytes parse blocks of it, in forked
 # workers, to the same bytes on any CPU count; the rest is serial.
 
@@ -305,8 +312,7 @@ def _write_blocks(path, header: str, format_rows, data) -> None:
     block written as it arrives to a temporary file beside ``path`` that then
     replaces it, so a failure leaves ``path`` as it was and no temporary file."""
     n = len(data)
-    blocks = ([slice(0, n)] if n < CSV_FORK_ROWS else
-              [slice(start, start + CSV_BLOCK) for start in range(0, n, CSV_BLOCK)])
+    blocks = even_blocks(n, STREAM_BLOCK) if n >= CSV_FORK_ROWS else [slice(0, n)]
     formatted = fork_map(format_rows, blocks, data)
     partial_path = f"{path}.{os.getpid()}.tmp"
     try:
@@ -373,15 +379,14 @@ def _read_columns(path, tail: list, converters: dict, build):
 
 
 def _body_blocks(path) -> list:
-    """The byte spans of the blocks after the first line of ``path``: as few
-    as keep each within about CSV_READ_BLOCK bytes, of about equal size, each
-    from a line start to the next; [None] for one."""
+    """The byte spans of the blocks after the first line of ``path``: the
+    even_blocks of at most CSV_READ_BLOCK bytes, each cut moved on to the next
+    line start; [None] for one."""
     with open(path, "rb") as fh:
         fh.readline()  # the header
         starts, end = [fh.tell()], os.fstat(fh.fileno()).st_size
-        n = -(-(end - starts[0]) // CSV_READ_BLOCK)
-        for i in range(1, n):
-            fh.seek(starts[0] + (end - starts[0]) * i // n - 1)
+        for block in even_blocks(end - starts[0], CSV_READ_BLOCK)[1:]:
+            fh.seek(starts[0] + block.start - 1)
             fh.readline()  # to the next line start
             if starts[-1] < fh.tell() < end:
                 starts.append(fh.tell())

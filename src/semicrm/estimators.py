@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import data
 from .data import BanditLog
 from .policy import PolicyGradient, SoftmaxPolicy, log_softmax, softmax_and_log_softmax
 
@@ -125,7 +126,6 @@ ROW_TERMS = {"IPS": (_ips_constants, _ips_rows), "WCE": (_wce_constants, _linear
              "KL": (_kl_constants, _kl_rows), "RKL": (_rkl_constants, _rkl_rows),
              "CE": (_ce_constants, _linear_rows)}
 REGULARIZERS = ("KL", "RKL", "WCE")  # the paper's; "CE" serves only the training loop
-VALUE_BLOCK = 16_384  # most rows per forward pass of a value-only evaluation
 
 
 def objective_parts(regularizer: str, alpha: float, n_known: int, zeta: float = 0.0,
@@ -150,11 +150,11 @@ def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts) -> list[float]:
     scoring one policy with several estimators on one log takes one forward
     pass, and scoring another policy computes no constants again.  The log pi
     key holds everything log pi depends on besides the rows: the layer shapes,
-    the parameter bytes and the block size; a term's key holds its rows and
+    the parameter bytes and ``data.ROW_BLOCK``; a term's key holds its rows and
     its floor."""
     if not len(rows):
         raise ValueError("empty log")
-    key = (tuple(w.shape for w in policy.weights), policy.flat.tobytes(), VALUE_BLOCK)
+    key = (tuple(w.shape for w in policy.weights), policy.flat.tobytes(), data.ROW_BLOCK)
     log_pi = rows.memo("log_pi", key, lambda: _value_log_pi(policy, rows.contexts, rows.actions))
     values = []
     for term, part, _, floor in parts:
@@ -168,9 +168,8 @@ def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts) -> list[float]:
 def _value_log_pi(policy, contexts, actions) -> np.ndarray:
     """log pi(a_i|x_i), read-only, from forward passes over views of row blocks,
     so that the memory it takes does not grow with the log."""
-    count = -(-len(actions) // VALUE_BLOCK)
-    blocks = zip(np.array_split(contexts, count), np.array_split(actions, count))
-    log_pi = np.concatenate([log_softmax(policy.forward(x)[0], a) for x, a in blocks])
+    log_pi = np.concatenate([log_softmax(policy.forward(contexts[rows])[0], actions[rows])
+                             for rows in data.even_blocks(len(actions), data.ROW_BLOCK)])
     log_pi.flags.writeable = False
     return log_pi
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import data
 from .data import (
     BanditLog,
     SupervisedDataset,
@@ -95,29 +96,21 @@ def evaluate_policy(
 
     Expected risk is computed exactly from the policy probabilities:
     -(1/N) sum_i pi(label_i | x_i); accuracy uses the argmax action.  The
-    forward passes run over views of blocks of at most
-    ``estimators.VALUE_BLOCK`` rows, so the memory they take does not grow
-    with the test set.
+    forward passes run over views of blocks of at most ``data.ROW_BLOCK``
+    rows, so the memory they take does not grow with the test set.
     """
     if policy.input_dim != test.dim:
-        raise ValueError(
-            f"policy expects d={policy.input_dim}, test data has d={test.dim}"
-        )
+        raise ValueError(f"policy expects d={policy.input_dim}, test data has d={test.dim}")
     if len(test) == 0:
         raise ValueError("no test rows to evaluate on")
     if test.labels.max() >= policy.action_count:
         raise ValueError(f"test labels must lie in [0, {policy.action_count})")
-    from .estimators import VALUE_BLOCK  # read per call, as the value path reads it
-
-    count = -(-len(test) // VALUE_BLOCK)
     chosen, hits = [], []
-    for X, y in zip(np.array_split(test.features, count), np.array_split(test.labels, count)):
-        probs = policy.probs_batch(X)
+    for rows in data.even_blocks(len(test), data.ROW_BLOCK):
+        probs, y = policy.probs_batch(test.features[rows]), test.labels[rows]
         chosen.append(probs[np.arange(len(y)), y])
         hits.append(np.argmax(probs, axis=1) == y)
-    expected_risk = -float(np.mean(np.concatenate(chosen)))
-    accuracy = float(np.mean(np.concatenate(hits)))
-    return expected_risk, accuracy
+    return -float(np.mean(np.concatenate(chosen))), float(np.mean(np.concatenate(hits)))
 
 
 # ---- experiment sweep ------------------------------------------------------
@@ -167,8 +160,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats {values[values.index(repeats[0])]!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.train_rows < 1:
-            raise ValueError(f"train_rows must be positive, got {self.train_rows}")
+        for name in ("train_rows", "test_rows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         unknown = sorted(set(self.algorithms) - set(_TRAINERS) - {"logging"})
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}; expected names from "

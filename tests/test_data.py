@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 import semicrm.data
 from semicrm.data import (
-    TO_BANDIT_BLOCK,
     BanditLog,
     DatasetFormatError,
     SupervisedDataset,
@@ -136,6 +135,41 @@ class TestBanditLog:
             log.concat(make_log([([np.nan, 0.0], 0, 0.5)], 2))
         assert len(log.take([0]).with_rewards(np.nan)) == 1
 
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_negative_action_count_rejected(self, rows):
+        # unchecked, an empty log took -3 and a nonempty one blamed its actions
+        with pytest.raises(ValueError, match="action_count must be >= 0, got -3"):
+            replace(self.log_with().take(slice(0, rows)), action_count=-3)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), "2"])
+    def test_non_integer_action_count_rejected(self, bad):
+        with pytest.raises(TypeError):
+            replace(self.log_with(), action_count=bad)
+        with pytest.raises(TypeError):
+            replace(self.log_with().take(slice(0, 0)), action_count=bad)
+
+    @pytest.mark.parametrize("k", [0, np.int64(0), np.int32(4)])
+    def test_zero_and_numpy_integer_action_counts_are_kept(self, k):
+        assert replace(self.log_with().take(slice(0, 0)), action_count=k).action_count == k
+
+
+class TestEvenBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_slices_of_array_split(self, data):
+        most = data.draw(st.integers(1, 50), label="most")
+        n = data.draw(st.integers(0, 5 * most + 3), label="n")
+        blocks = semicrm.data.even_blocks(n, most)
+        assert len(blocks) == -(-n // most)
+        # in order, each from where the last stopped, covering range(n) exactly
+        stops = [0] + [b.stop for b in blocks]
+        assert [b.start for b in blocks] == stops[:-1] and stops[-1] == n
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(b.step is None and 0 < b.stop - b.start <= most for b in blocks)
+        if n:
+            assert [b.stop - b.start for b in blocks] == [
+                len(part) for part in np.array_split(np.arange(n), len(blocks))]
+
 
 class TestSupervisedToBandit:
     def test_concentrated_logging_gives_all_minus_one(self):
@@ -167,13 +201,19 @@ class TestSupervisedToBandit:
             assert propensity == p.probs(x)[a]
 
     @pytest.mark.parametrize("hidden", [(), (4,), (20, 20)])
-    def test_blocked_transform_equals_the_per_row_loop(self, hidden):
+    def test_blocked_transform_equals_the_per_row_loop(self, hidden, monkeypatch):
         # more rows than one block, and not a multiple of it
-        n = 2 * TO_BANDIT_BLOCK + 123
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 100)
+        n = 2 * 100 + 23
         ds = label_concentrated_dataset(n=n, d=10, k=5, seed=11)
         policy = SoftmaxPolicy.create(10, 5, hidden, make_rng(12))
         rng, reference_rng = make_rng(13), make_rng(13)
-        S = supervised_to_bandit(ds, policy, rng)
+        forward, seen = policy.forward, []
+        with monkeypatch.context() as mp:
+            mp.setattr(policy, "forward", lambda X: seen.append(len(X)) or forward(X))
+            S = supervised_to_bandit(ds, policy, rng)
+        assert seen == [b.stop - b.start for b in semicrm.data.even_blocks(n, 100)]
+        assert seen == [75, 74, 74]
         actions, propensities = per_row_to_bandit(ds, policy, reference_rng)
         assert np.array_equal(S.actions, actions)
         assert np.array_equal(S.propensities, propensities)
@@ -467,7 +507,7 @@ class TestSupervisedCsv:
         assert err.value.line_number == 5
 
 
-# Writes of CSV_FORK_ROWS rows or more format blocks of CSV_BLOCK rows, in
+# Writes of CSV_FORK_ROWS rows or more format blocks of STREAM_BLOCK rows, in
 # forked workers when there are several.  These pin that the bytes do not
 # depend on the threshold, the block size or the worker count, and that the
 # workers neither outlive a write nor hide a failure.
@@ -502,7 +542,7 @@ class TestBlockedCsvWrites:
             for blocked in (False, True):
                 with pytest.MonkeyPatch.context() as mp:
                     if blocked:
-                        mp.setattr(semicrm.data, "CSV_BLOCK", block)
+                        mp.setattr(semicrm.data, "STREAM_BLOCK", block)
                         mp.setattr(semicrm.data, "CSV_FORK_ROWS", fork_rows)
                         mp.setattr(os, "sched_getaffinity", lambda pid: cpus)
                     for name, write, rows in (("log.csv", write_bandit_csv, log),
@@ -513,7 +553,7 @@ class TestBlockedCsvWrites:
             assert written[True, name] == written[False, name]
 
     def test_blocks_run_in_worker_processes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 2)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 7)
         monkeypatch.setattr(semicrm.data, "_supervised_rows",
                             lambda ds, rows: f"{os.getpid()}\n")
@@ -535,7 +575,7 @@ class TestBlockedCsvWrites:
         monkeypatch.delattr(os, "sched_getaffinity")
         write_supervised_csv(tmp_path / "here.csv", ds)
         assert (tmp_path / "here.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
-        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 2)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 7)
         monkeypatch.setattr(semicrm.data, "_supervised_rows",
                             lambda ds, rows: f"{os.getpid()}\n")
@@ -543,7 +583,7 @@ class TestBlockedCsvWrites:
         assert pids_written(tmp_path / "here.csv") == [os.getpid()] * 4
 
     def test_one_block_is_formatted_in_this_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 2)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 1)
         monkeypatch.setattr(semicrm.data, "_bandit_rows",
                             lambda log, rows: f"{os.getpid()}\n")
@@ -554,7 +594,7 @@ class TestBlockedCsvWrites:
 
     def test_files_below_the_fork_threshold_are_one_block_in_this_process(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 2)
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 2)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 8)
         monkeypatch.setattr(semicrm.data, "_bandit_rows",
                             lambda log, rows: f"{os.getpid()},{rows.start},{rows.stop}\n")
@@ -563,8 +603,18 @@ class TestBlockedCsvWrites:
             write_bandit_csv(path, random_log(n=7).take(np.arange(rows)))
             assert path.read_text().splitlines()[1:] == [f"{os.getpid()},0,{rows}"]
 
+    def test_blocks_from_the_fork_threshold_are_even_blocks(self, tmp_path, monkeypatch):
+        # 10 rows in blocks of at most 4: 4, 3 and 3 rows, not 4, 4 and 2
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 4)
+        monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 10)
+        monkeypatch.setattr(semicrm.data, "_bandit_rows",
+                            lambda log, rows: f"{rows.start},{rows.stop}\n")
+        path = tmp_path / "log.csv"
+        write_bandit_csv(path, random_log(n=10))
+        assert path.read_text().splitlines()[1:] == ["0,4", "4,7", "7,10"]
+
     def test_no_worker_outlives_a_write(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 3)
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 3)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 0)
         write_bandit_csv(tmp_path / "log.csv", random_log(n=20))
         assert multiprocessing.active_children() == []
@@ -580,7 +630,7 @@ class TestBlockedCsvWrites:
                 raise OverflowError(f"block at row {rows.start}")
             return format_rows(log, rows)
 
-        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", 3)
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 3)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 0)
         monkeypatch.setattr(semicrm.data, "_bandit_rows", fails_on_the_third_block)
         path = tmp_path / "log.csv"
@@ -615,7 +665,7 @@ class TestBlockedCsvWrites:
         # blocks are formatted in this process, where tracemalloc sees them
         block = 512
         monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(semicrm.data, "CSV_BLOCK", block)
+        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", block)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 0)
         log = random_log(n=8 * block, d=10)
         one_block = len(semicrm.data._bandit_rows(log, slice(0, block)))

@@ -13,6 +13,7 @@ from conftest import (
     value_and_grad_of,
 )
 
+import semicrm.data
 from semicrm import estimators
 from semicrm.data import BanditLog
 from semicrm.bounds import (
@@ -433,7 +434,7 @@ class TestTermValues:
         assert value == pytest.approx(-np.mean(log_pi), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3000), st.sampled_from([7, 512, estimators.VALUE_BLOCK]),
+    @given(st.integers(1, 3000), st.sampled_from([7, 512, semicrm.data.ROW_BLOCK]),
            st.sampled_from(["WCE", "KL", "RKL"]), st.integers(0, 2**32 - 1))
     def test_value_blocks_are_views_with_the_bits_of_gathered_blocks(self, n, block,
                                                                      regularizer, seed):
@@ -452,7 +453,7 @@ class TestTermValues:
         forward, seen = policy.forward, []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(policy, "forward", lambda X: seen.append(X) or forward(X))
-            mp.setattr(estimators, "VALUE_BLOCK", block)
+            mp.setattr(semicrm.data, "ROW_BLOCK", block)
             values = term_values(policy, BanditLog(contexts, actions, propensities, rewards, 5),
                                  parts)
         assert [len(X) for X in seen] == [len(b) for b in blocks]
@@ -471,7 +472,7 @@ class TestTermValues:
         whole, _ = value_and_grad_of(policy, rows, parts)
         forward, seen = policy.forward, []
         monkeypatch.setattr(policy, "forward", lambda X: seen.append(len(X)) or forward(X))
-        monkeypatch.setattr(estimators, "VALUE_BLOCK", 7)
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", 7)
         values = term_values(policy, rows, parts)
         assert max(seen) <= 7 and sum(seen) == len(rows)
         assert values == pytest.approx(whole, rel=1e-12)
@@ -565,7 +566,7 @@ class TestLogPiMemo:
         _, S_u = logs
         policy = SoftmaxPolicy.create(2, 3, (5,), make_rng(47))
         kl_regularizer(policy, S_u, 0.1)
-        monkeypatch.setattr(estimators, "VALUE_BLOCK", 7)
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", 7)
         del forwarded[:]
         kl_regularizer(policy, S_u, 0.1)
         assert max(forwarded) <= 7 and sum(forwarded) == len(S_u)

@@ -13,6 +13,7 @@ from semicrm.config import (
     experiment_config_from_keys,
     parse_config_text,
 )
+import semicrm.data
 from semicrm import estimators, harness, trainers
 from semicrm.data import SupervisedDataset
 from semicrm.harness import (
@@ -98,7 +99,7 @@ class TestEvaluatePolicy:
             evaluate_policy(uniform_policy(3, 2), test)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3000), st.sampled_from([7, 512, estimators.VALUE_BLOCK]),
+    @given(st.integers(1, 3000), st.sampled_from([7, 512, semicrm.data.ROW_BLOCK]),
            st.integers(0, 2**32 - 1))
     def test_blocks_are_views_with_the_bits_of_gathered_blocks(self, n, block, seed):
         rng = make_rng(seed)
@@ -113,7 +114,7 @@ class TestEvaluatePolicy:
         forward, seen = policy.forward, []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(policy, "forward", lambda X: seen.append(X) or forward(X))
-            mp.setattr(estimators, "VALUE_BLOCK", block)
+            mp.setattr(semicrm.data, "ROW_BLOCK", block)
             got = evaluate_policy(policy, test)
         assert [len(X) for X in seen] == [len(b) for b in blocks]
         assert all(X.base is features for X in seen)  # views, not gathered copies
@@ -121,7 +122,7 @@ class TestEvaluatePolicy:
 
     def test_memory_does_not_grow_with_the_test_set(self, monkeypatch):
         block = 512
-        monkeypatch.setattr(estimators, "VALUE_BLOCK", block)
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", block)
         rng = make_rng(8)
         policy = SoftmaxPolicy.create(10, 5, (20, 20), rng)
         test = SupervisedDataset(rng.standard_normal((8 * block, 10)),
@@ -276,7 +277,7 @@ class TestRunExperiment:
 
     def test_no_test_rows_is_an_error(self, tmp_path):
         out = tmp_path / "run"
-        with pytest.raises(ValueError, match="no test rows"):
+        with pytest.raises(ValueError, match="test_rows must be positive, got 0"):
             run_experiment(tiny_config(test_rows=0, output_dir=str(out)))
         assert not out.exists()
 
@@ -512,6 +513,15 @@ class TestConfig:
         # unchecked, -5 trains on 1990 rows and scores on 5, and -50 dies inside numpy
         with pytest.raises(ValueError, match=f"train_rows must be positive, got {train_rows}"):
             ExperimentConfig(train_rows=train_rows, test_rows=2000)
+
+    @pytest.mark.parametrize("test_rows", [0, -5, -50])
+    def test_nonpositive_test_rows_rejected_when_built(self, test_rows):
+        # unchecked, the error came from evaluate_policy, after the split and
+        # the logging policy's fit
+        with pytest.raises(ValueError, match=f"test_rows must be positive, got {test_rows}"):
+            ExperimentConfig(train_rows=6000, test_rows=test_rows)
+        with pytest.raises(ValueError, match=f"test_rows must be positive, got {test_rows}"):
+            experiment_config_from_keys({"data.test_rows": str(test_rows)})
 
     @pytest.mark.parametrize("axis", ["algorithms", "alphas", "taus"])
     def test_empty_sweep_axis_rejected_when_built(self, axis):

@@ -324,6 +324,8 @@ def read_environment(path) -> DiscreteEnvironment:
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
+            if line in sections:
+                raise ValueError(f"{path}: line {lineno}: repeated section {line!r}")
             if line in _SECTIONS:
                 current = line
                 sections[current] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import bounds as bounds_mod
 from .config import CONFIG_KEYS, experiment_config_from_keys, load_config_file
@@ -75,15 +76,7 @@ def cmd_mask(args):
 
 def cmd_train(args):
     # built first, so a bad setting fails before the log is parsed
-    cfg = TrainConfig(
-        alpha=args.alpha,
-        zeta=args.zeta, tau=args.tau,
-        epochs=args.epochs,
-        batch_known=args.batch_known,
-        batch_unknown=args.batch_unknown,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     S, S_u = read_bandit_csv(args.data)
     if args.init is not None:
         init = load_policy(args.init)
@@ -171,16 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True)
     tr.add_argument("--algorithm", choices=sorted(_TRAINERS), default="WCE")
     tr.add_argument("--init", default=None, help="initial policy checkpoint")
-    tr.add_argument("--alpha", type=float, default=train.alpha)
-    tr.add_argument("--zeta", type=float, default=train.zeta)
-    tr.add_argument("--tau", type=float, default=train.tau)
-    tr.add_argument("--epochs", type=int, default=train.epochs,
-                    help="number of minibatch steps (not passes over the data)")
-    tr.add_argument("--batch-known", type=int, default=train.batch_known)
-    tr.add_argument("--batch-unknown", type=int, default=train.batch_unknown)
-    tr.add_argument("--learning-rate", type=float, default=train.learning_rate)
     tr.add_argument("--trace", default=None, help="write per-epoch trace CSV here")
-    tr.add_argument("--seed", type=int, default=0)
+    for f in fields(TrainConfig):
+        default = getattr(train, f.name)
+        tr.add_argument(f"--{f.name.replace('_', '-')}", type=type(default), default=default,
+                        help=f.metadata.get("help"))
 
     e = sub.add_parser("evaluate", help="expected risk and accuracy on labeled data")
     e.set_defaults(func=cmd_evaluate)

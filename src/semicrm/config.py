@@ -6,7 +6,7 @@ e.g. ``--data.keep_fraction 0.2``.  The full key list is in the README.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .harness import ExperimentConfig
 
@@ -70,6 +70,8 @@ def experiment_config_from_keys(keys: dict[str, str]) -> ExperimentConfig:
     )
 
 
+_TRAIN = ExperimentConfig().train
+
 # key -> (target object, attribute, converter)
 _HANDLERS: dict[str, tuple[str, str, callable]] = {
     "data.path": ("top", "dataset_path", str),
@@ -89,11 +91,8 @@ _HANDLERS: dict[str, tuple[str, str, callable]] = {
     "experiment.dropped_action": ("top", "dropped_action", int),
     "experiment.timing": ("top", "timing", _bool),
     "experiment.output_dir": ("top", "output_dir", str),
-    "train.zeta": ("train", "zeta", float),
-    "train.epochs": ("train", "epochs", int),
-    "train.batch_known": ("train", "batch_known", int),
-    "train.batch_unknown": ("train", "batch_unknown", int),
-    "train.learning_rate": ("train", "learning_rate", float),
+    **{f"train.{f.name}": ("train", f.name, type(getattr(_TRAIN, f.name)))
+       for f in fields(_TRAIN) if f.name not in ("alpha", "tau", "seed")},
 }
 
 CONFIG_KEYS = tuple(_HANDLERS)

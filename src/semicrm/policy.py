@@ -239,7 +239,7 @@ def load_policy(path) -> SoftmaxPolicy:
         return values
 
     head, *sizes = line(1).split() or [""]
-    if head != "dims" or len(sizes) < 2 or not all(t.isdigit() and int(t) for t in sizes):
+    if head != "dims" or len(sizes) < 2 or not all(t.isdecimal() and int(t) for t in sizes):
         raise ValueError(f"{path}: line 2: expected dims and two or more layer sizes")
     dims = [int(t) for t in sizes]
     weights, biases = [], []
@@ -250,4 +250,7 @@ def load_policy(path) -> SoftmaxPolicy:
         line(pos + 1 + fan_in, f"b{i}")
         biases.append(row(pos + 2 + fan_in, fan_out))
         pos += 3 + fan_in
+    extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise ValueError(f"{path}: line {extra + 1}: expected end of file after b{len(biases) - 1}")
     return SoftmaxPolicy(weights, biases)

@@ -27,10 +27,15 @@ from .rng import make_rng
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings.  Each field is a ``semicrm train`` flag and, but for
+    alpha, tau and seed, a sweep ``train.*`` key; both parse a value with its
+    default's type, so a field must be an int or a float (``bool("false")`` is True)."""
+
     alpha: float = 0.9
-    zeta: float = 0.0  # propensity floor of the IPS term
-    tau: float = 0.0  # propensity floor of the regularizer
-    epochs: int = 1000  # minibatch steps, not passes over the data
+    zeta: float = field(default=0.0, metadata={"help": "propensity floor of the IPS term"})
+    tau: float = field(default=0.0, metadata={"help": "propensity floor of the regularizer"})
+    epochs: int = field(default=1000,
+                        metadata={"help": "number of minibatch steps (not passes over the data)"})
     batch_known: int = 64
     batch_unknown: int = 256
     learning_rate: float = 0.01

@@ -382,6 +382,29 @@ class TestEnvironmentFileAndReport:
         with pytest.raises(ValueError, match="line 3: context_probs takes one row"):
             read_environment(self.edited_environment(tmp_path, edit))
 
+    def test_repeated_section_rejected_with_line_number(self, tmp_path):
+        # a second logging section used to replace the first one's rows
+        def edit(lines):
+            lines.extend(lines[2:6])
+        with pytest.raises(ValueError, match="line 15: repeated section 'logging'"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
+    def test_row_before_any_section_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            lines.insert(0, "0.5,0.5")
+        with pytest.raises(ValueError, match="line 1: expected a section name, got '0.5,0.5'"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
+    @pytest.mark.parametrize("cut, missing", [
+        (slice(10, None), "rewards"),  # the header and its rows
+        (slice(7, 10), "target"),  # the rows, so the header is followed by rewards
+    ], ids=["missing-rewards", "empty-target"])
+    def test_missing_or_empty_section_rejected(self, tmp_path, cut, missing):
+        def edit(lines):
+            del lines[cut]
+        with pytest.raises(ValueError, match=rf"missing or empty sections \['{missing}'\]"):
+            read_environment(self.edited_environment(tmp_path, edit))
+
     @pytest.mark.parametrize("kw, message", [
         # n=0 used to report the bound at n=1, n=-5 a NaN bound, and delta=1.5
         # without n went through

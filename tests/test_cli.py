@@ -1,15 +1,18 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semicrm.bounds import bound_report, random_environment, write_environment
-from semicrm.cli import main
+from semicrm.cli import build_parser, main
 from semicrm.config import CONFIG_KEYS
 from semicrm.data import read_bandit_csv, read_supervised_csv
+from semicrm.harness import ExperimentConfig
 from semicrm.policy import DimensionMismatchError, SoftmaxPolicy, load_policy, save_policy
 from semicrm.rng import make_rng
+from semicrm.trainers import TrainConfig
 
 
 def run(*argv):
@@ -263,3 +266,46 @@ class TestSweepCommand:
                        if line.startswith("| `")]
         listed = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
         assert sorted(listed) == sorted(CONFIG_KEYS)
+
+
+class TestTrainSettings:
+    """``semicrm train``'s settings flags and the sweep's ``train.*`` keys are
+    TrainConfig's fields; neither list may change when that is derived."""
+
+    # a flag's value is parsed by the constructor of its type, which for a
+    # bool would read "false" as True
+    TYPES = {"int": int, "float": float}
+
+    def test_every_field_is_an_int_or_a_float(self):
+        defaults = ExperimentConfig().train
+        for f in fields(TrainConfig):
+            assert f.type in self.TYPES, f.name
+            assert type(getattr(defaults, f.name)) is self.TYPES[f.type], f.name
+
+    def test_train_flags_are_the_fields(self):
+        parser = build_parser()
+        required = ["train", "--data", "d.csv", "--out", "p.policy"]
+        given = vars(parser.parse_args(required))
+        defaults = ExperimentConfig().train
+        names = [f.name for f in fields(TrainConfig)]
+        assert set(given) == {"command", "func", "data", "out", "algorithm", "init",
+                              "trace", *names}
+        for f in fields(TrainConfig):
+            assert given[f.name] == getattr(defaults, f.name), f.name
+            flag = "--" + f.name.replace("_", "-")
+            parsed = getattr(parser.parse_args([*required, flag, "3"]), f.name)
+            assert type(parsed) is self.TYPES[f.type] and parsed == 3, flag
+
+    def test_sweep_keys_unchanged(self):
+        train_keys = [f"train.{f.name}" for f in fields(TrainConfig)
+                      if f.name not in ("alpha", "tau", "seed")]
+        assert list(CONFIG_KEYS[-len(train_keys):]) == train_keys
+        assert CONFIG_KEYS == (
+            "data.path", "data.train_rows", "data.test_rows", "data.keep_fraction",
+            "data.seed", "synthetic.dim", "synthetic.classes", "synthetic.separation",
+            "synthetic.noise", "experiment.logging_fraction", "experiment.algorithms",
+            "experiment.alphas", "experiment.taus", "experiment.repetitions",
+            "experiment.dropped_action", "experiment.timing", "experiment.output_dir",
+            "train.zeta", "train.epochs", "train.batch_known", "train.batch_unknown",
+            "train.learning_rate",
+        )

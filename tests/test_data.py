@@ -413,6 +413,19 @@ class TestBanditCsv:
         with pytest.raises(DatasetFormatError):
             read_bandit_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("x0,action,propensity\n1.0,0,0.5\n",
+         "line 1: header must end with action,propensity,reward"),
+        ("x0,action,propensity,reward\n1.0,0,0.5,-1\n\n2.0,0,0.5\n",
+         "line 4: expected 4 fields, got 3"),
+    ], ids=["empty", "header", "short-row"])
+    def test_malformed_file_rejected_with_line_number(self, tmp_path, text, message):
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=message):
+            read_bandit_csv(path)
+
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_nonfinite_feature_rejected_with_line_number(self, tmp_path, bad):
@@ -505,6 +518,17 @@ class TestSupervisedCsv:
         with pytest.raises(DatasetFormatError) as err:
             read_supervised_csv(path)
         assert err.value.line_number == 5
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("x0,x1,y\n1,2,0\n", "line 1: header must end with label"),
+        ("x0,x1,label\n1,2,0\n3,4,1,5\n", "line 3: expected 3 fields, got 4"),
+    ], ids=["empty", "header", "long-row"])
+    def test_malformed_file_rejected_with_line_number(self, tmp_path, text, message):
+        path = tmp_path / "sup.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=message):
+            read_supervised_csv(path)
 
 
 # Writes of CSV_FORK_ROWS rows or more format blocks of STREAM_BLOCK rows, in

@@ -1,6 +1,6 @@
 import multiprocessing
 import os
-from dataclasses import FrozenInstanceError, astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from semicrm.config import (
 )
 import semicrm.data
 from semicrm import estimators, harness, trainers
-from semicrm.data import SupervisedDataset
+from semicrm.data import SupervisedDataset, write_supervised_csv
 from semicrm.harness import (
     METRICS_HEADER,
     ExperimentConfig,
@@ -350,6 +350,32 @@ class TestRunExperiment:
         rows, _ = run_experiment(tiny_config(timing=True, algorithms=("WCE",)))
         assert all(r.runtime_seconds > 0.0 for r in rows)
 
+    @staticmethod
+    def synthetic_csv(tmp_path, cfg):
+        path = tmp_path / "data.csv"
+        write_supervised_csv(path, generate_synthetic(cfg.synthetic, 800, cfg.seed))
+        return str(path)
+
+    def test_dataset_file_gives_the_synthetic_sweeps_bytes(self, tmp_path):
+        # the file holds the rows the synthetic sweep generates, so every
+        # output must match
+        cfg = ExperimentConfig(train_rows=600, test_rows=200, alphas=(0.0, 0.5, 1.0),
+                               repetitions=2, train=replace(ExperimentConfig().train, epochs=50))
+        path = self.synthetic_csv(tmp_path, cfg)
+        for name, dataset_path in [("synthetic", None), ("file", path)]:
+            run_experiment(replace(cfg, dataset_path=dataset_path,
+                                   output_dir=str(tmp_path / name)))
+        # 2 repetitions of 3 trained algorithms x 3 alphas and a logging row
+        assert len((tmp_path / "file" / "metrics.csv").read_bytes().splitlines()) == 1 + 2 * 10
+        for name in ("metrics.csv", "summary.csv"):
+            assert ((tmp_path / "file" / name).read_bytes()
+                    == (tmp_path / "synthetic" / name).read_bytes())
+
+    def test_dataset_file_too_small_rejected(self, tmp_path):
+        cfg = ExperimentConfig(train_rows=700, test_rows=200)
+        with pytest.raises(ValueError, match="dataset smaller than train_rows \\+ test_rows"):
+            run_experiment(replace(cfg, dataset_path=self.synthetic_csv(tmp_path, cfg)))
+
 
 def fails_with(exc):
     def trainer(S, S_u, cfg, init):
@@ -493,6 +519,17 @@ class TestConfig:
         assert cfg.alphas == (0.2, 0.8)
         assert cfg.timing is True
         assert cfg.train.epochs == 12
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("YES", True), ("1", True),
+        ("false", False), ("No", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, text, value):
+        assert experiment_config_from_keys({"experiment.timing": text}).timing is value
+
+    def test_bad_boolean_rejected(self):
+        with pytest.raises(ValueError, match="expected a boolean, got 'maybe'"):
+            experiment_config_from_keys({"experiment.timing": "maybe"})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

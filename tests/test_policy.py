@@ -469,3 +469,30 @@ class TestCheckpoint:
             lines[4] = f"{bad} " + lines[4].split(" ", 1)[1]
         with pytest.raises(ValueError, match="line 5: expected 6 finite values"):
             load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    def test_wrong_section_label_rejected_with_line_number(self, tmp_path):
+        def edit(lines):
+            lines[2] = "W1"
+        with pytest.raises(ValueError, match="line 3: expected W0"):
+            load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    # the checkpoint has 25 lines, so anything after it starts on line 26;
+    # both used to load the first checkpoint without complaint
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines.extend(list(lines)),
+        lambda lines: lines.append("garbage"),
+    ], ids=["two-checkpoints", "trailing-garbage"])
+    def test_line_after_the_last_bias_row_rejected_with_line_number(self, tmp_path, edit):
+        with pytest.raises(ValueError, match="line 26: expected end of file after b2"):
+            load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = self.edited_checkpoint(tmp_path, lambda lines: lines.extend(["", "  "]))
+        assert np.array_equal(load_policy(path).flat, random_policy().flat)
+
+    def test_layer_size_int_refuses_rejected_with_line_number(self, tmp_path):
+        # "²" passes str.isdigit but not int(), which raised a bare ValueError
+        def edit(lines):
+            lines[1] = "dims 3 \u00b2"
+        with pytest.raises(ValueError, match="line 2: expected dims and two or more layer sizes"):
+            load_policy(self.edited_checkpoint(tmp_path, edit))

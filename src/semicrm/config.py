@@ -6,16 +6,20 @@ e.g. ``--data.keep_fraction 0.2``.  The full key list is in the README.
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields, replace
 
 from .harness import ExperimentConfig
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``section.key = value`` lines; '#' starts a comment."""
+    """Parse ``section.key = value`` lines, each key once.  A '#' that starts a
+    line or follows whitespace starts a comment; any other '#' is part of the
+    value, as in ``data.path = /data/run#1/sup.csv``."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -24,6 +28,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if "." not in key:
             raise ValueError(f"config line {lineno}: key must be section.key, got {key!r}")
+        if key in first:
+            raise ValueError(f"config line {lineno}: {key} repeats line {first[key]}")
+        first[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -13,6 +13,14 @@ import functools
 
 import numpy as np
 
+# values per long row of the bias add: a bias tiled to this length is 64 KB
+BIAS_ROW = 8192
+# fewest rows whose bias is added over long rows: on 2 cores the long-row add
+# broke even with a plain h += b at 600-1000 rows of 5 or 20 values and won from
+# about 1200 (15000 rows of 20: 0.27 against 0.15 ms); 64- and 320-row training
+# batches keep h += b, which the long-row add's own calls made slower there
+BIAS_TILE_ROWS = 1024
+
 
 class DimensionMismatchError(ValueError):
     """Raised when a context or action does not match the policy shape."""
@@ -104,11 +112,11 @@ class SoftmaxPolicy(_FlatParams):
         h, cache = X, [X]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = h @ w  # the one fresh array per layer; bias and ReLU act on it in place
-            h += b
+            _add_bias(h, b)
             np.maximum(h, 0.0, out=h)
             cache.append(h)
         scores = h @ self.weights[-1]
-        scores += self.biases[-1]
+        _add_bias(scores, self.biases[-1])
         return scores, cache
 
     def backward(self, cache: list[np.ndarray], dscores: np.ndarray) -> PolicyGradient:
@@ -149,6 +157,27 @@ class SoftmaxPolicy(_FlatParams):
         scores, _ = self.forward(X[..., None, :])
         p = softmax(scores[..., 0, :])
         return p[0] if X.ndim == 1 else p
+
+
+def _add_bias(h: np.ndarray, b: np.ndarray) -> None:
+    """``h += b`` in place, over every row of ``h`` whatever its leading axes.
+
+    numpy broadcasts b over rows of b's width, one inner loop per row.  From
+    BIAS_TILE_ROWS rows on, a C-order h is added to as rows of about BIAS_ROW
+    values, with b tiled to that length, and its last, shorter row with the
+    tile's prefix.  Each value gets the same sum, so the bits are those of
+    ``h += b``."""
+    width = b.size
+    if h.size < BIAS_TILE_ROWS * width or not h.flags.c_contiguous:
+        h += b
+        return
+    tile = b[None].repeat(max(1, BIAS_ROW // width), axis=0).ravel()
+    flat = h.reshape(-1)  # a view: h is C-order
+    whole = flat.size - flat.size % tile.size
+    long_rows = flat[:whole].reshape(-1, tile.size)
+    long_rows += tile
+    rest = flat[whole:]
+    rest += tile[:rest.size]
 
 
 def _softmax_body(scores: np.ndarray, actions: np.ndarray | None = None):
@@ -238,6 +267,23 @@ def load_policy(path) -> SoftmaxPolicy:
             raise ValueError(f"{path}: line {pos + 1}: expected {width} finite values")
         return values
 
+    def layer(pos: int, i: int, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
+        """W<i> and b<i> from line ``pos`` on, every value parsed in one numpy
+        conversion; on any fault, the line-by-line parse names the first bad line."""
+        rows = lines[pos + 1:pos + 1 + fan_in] + lines[pos + 2 + fan_in:pos + 3 + fan_in]
+        try:
+            values = np.array([ln.split() for ln in rows], dtype=float)
+        except ValueError:
+            values = None
+        if (values is None or values.shape != (fan_in + 1, fan_out)
+                or not np.isfinite(values).all()
+                or lines[pos] != f"W{i}" or lines[pos + 1 + fan_in] != f"b{i}"):
+            line(pos, f"W{i}")
+            weights = np.vstack([row(pos + 1 + r, fan_out) for r in range(fan_in)])
+            line(pos + 1 + fan_in, f"b{i}")
+            return weights, row(pos + 2 + fan_in, fan_out)
+        return values[:-1], values[-1]
+
     head, *sizes = line(1).split() or [""]
     if head != "dims" or len(sizes) < 2 or not all(t.isdecimal() and int(t) for t in sizes):
         raise ValueError(f"{path}: line 2: expected dims and two or more layer sizes")
@@ -245,10 +291,9 @@ def load_policy(path) -> SoftmaxPolicy:
     weights, biases = [], []
     pos = 2
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        line(pos, f"W{i}")
-        weights.append(np.vstack([row(pos + 1 + r, fan_out) for r in range(fan_in)]))
-        line(pos + 1 + fan_in, f"b{i}")
-        biases.append(row(pos + 2 + fan_in, fan_out))
+        w, b = layer(pos, i, fan_in, fan_out)
+        weights.append(w)
+        biases.append(b)
         pos += 3 + fan_in
     extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
     if extra is not None:

@@ -500,6 +500,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_text("nodot = 3")
 
+    def test_hash_inside_a_value_is_not_a_comment(self):
+        # a '#' starts a comment only at the start of a line or after whitespace
+        keys = parse_config_text("data.path = /data/run#1/sup.csv\n"
+                                 "experiment.output_dir = out#2 # trailing comment\n"
+                                 "#data.seed = 3\n")
+        assert keys == {"data.path": "/data/run#1/sup.csv", "experiment.output_dir": "out#2"}
+
+    def test_repeated_key_rejected_with_both_line_numbers(self):
+        with pytest.raises(ValueError, match="config line 4: train.epochs repeats line 2"):
+            parse_config_text("# steps\ntrain.epochs = 5\ndata.seed = 1\n"
+                              "  train.epochs=50\n")
+
     def test_build_experiment_config(self):
         cfg = experiment_config_from_keys({
             "data.train_rows": "123",

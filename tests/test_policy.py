@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicrm.policy
-from semicrm import estimators
+from semicrm import data, estimators
 from semicrm.estimators import objective_parts, value_and_grad
 from semicrm.policy import (
     DimensionMismatchError,
     PolicyGradient,
     SoftmaxPolicy,
+    _add_bias,
     _softmax_body,
     load_policy,
     log_softmax,
@@ -228,6 +229,43 @@ class TestKernelBits:
         assert same_bits(chosen, shifted[np.arange(n), actions])
 
 
+class TestLongRowBias:
+    """The bias added over long rows gives the bits of a plain ``h += b``."""
+
+    @pytest.mark.parametrize("shape", [
+        (64, 20), (320, 5), (2000, 20), (15000, 20), (15000, 5),
+        (4096, 1, 20),  # a stack, as probs() forwards it
+        (3 * (semicrm.policy.BIAS_ROW // 20), 20),  # whole long rows, no partial one
+        (1237, 7),  # a partial last long row
+    ])
+    def test_matches_the_plain_add(self, shape):
+        rng = make_rng(sum(shape))
+        h, b = 3.0 * rng.standard_normal(shape), rng.standard_normal(shape[-1])
+        h.flat[::11], b[::3] = -0.0, -0.0
+        want = h.copy()
+        want += b  # the reference: numpy's per-row broadcast
+        _add_bias(h, b)
+        assert same_bits(h, want)
+
+    def test_a_strided_array_takes_the_plain_add_in_place(self):
+        rng = make_rng(5)
+        base, b = rng.standard_normal((4000, 40)), rng.standard_normal(20)
+        h = base[:, ::2]
+        want = h + b
+        _add_bias(h, b)
+        assert same_bits(base[:, ::2], want)
+
+    def test_the_value_path_matches_a_reference_forward(self):
+        rng = make_rng(23)
+        policy = random_policy(d=10, k=5, hidden=(20, 20), seed=23)
+        policy.flat[:] = rng.standard_normal(policy.flat.size)
+        X, actions = rng.standard_normal((40_000, 10)), rng.integers(0, 5, 40_000)
+        want = np.concatenate([
+            reference_log_softmax(reference_forward(policy, X[rows])[0], actions[rows])
+            for rows in data.even_blocks(len(actions), data.ROW_BLOCK)])
+        assert same_bits(estimators._value_log_pi(policy, X, actions), want)
+
+
 def feature_major_case(k, n, scale, zeros, seed):
     """A linear policy, contexts, actions, propensities and rewards for one case:
     the identity layer makes the scores the contexts (up to the sign of a zero),
@@ -402,6 +440,20 @@ GOLDEN_CHECKPOINT = (
 )
 
 
+def reference_parse(path) -> np.ndarray:
+    """Every value of a checkpoint, in file order, each by Python's own
+    ``float()``: the bits the loader's one numpy conversion per layer must give."""
+    lines = path.read_text().splitlines()[2:]
+    return np.array([float(tok) for ln in lines if ln[:1] not in ("W", "b")
+                     for tok in ln.split()])
+
+
+def file_order(policy: SoftmaxPolicy) -> np.ndarray:
+    """A policy's values in checkpoint order: each W<i>'s rows, then b<i>."""
+    return np.concatenate([a.ravel() for w, b in zip(policy.weights, policy.biases)
+                           for a in (w, b)])
+
+
 class TestCheckpoint:
     def test_golden_bytes(self, tmp_path):
         path = tmp_path / "golden.policy"
@@ -418,6 +470,36 @@ class TestCheckpoint:
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(p.biases, q.biases):
             assert np.array_equal(b1, b2)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.225073858507201e-308],
+        [1e300, -1e300, 1.7976931348623157e308, -9.999999999999999e299, 1e-300, -0.0],
+    ], ids=["zeros-and-subnormals", "near-1e300"])
+    def test_numpy_parse_gives_the_bits_of_float(self, tmp_path, values):
+        p = random_policy(d=2, k=3, hidden=(6,), seed=3)
+        p.flat[:len(values)] = values
+        p.flat[-len(values):] = values  # the last bias row too
+        path = tmp_path / "policy.txt"
+        save_policy(p, path)
+        got = load_policy(path)
+        assert same_bits(file_order(got), reference_parse(path))
+        assert same_bits(got.flat, p.flat)
+
+    def test_hand_written_spellings_parse_as_float_does(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        path.write_text("semicrm-policy v1\ndims 2 3\nW0\n-0 +1e300 4.9406564584124654e-324\n"
+                        "-1E+300 .5 -2.2250738585072011e-308\nb0\n-0.0 1. 1e-400\n")
+        assert same_bits(file_order(load_policy(path)), reference_parse(path))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=33,
+                    max_size=33))
+    def test_any_finite_value_parses_as_float_does(self, tmp_path_factory, values):
+        p = random_policy(d=2, k=3, hidden=(5,))
+        p.flat[:] = values
+        path = tmp_path_factory.mktemp("ckpt") / "policy.txt"
+        save_policy(p, path)
+        assert same_bits(file_order(load_policy(path)), reference_parse(path))
 
     def test_lines_end_in_a_newline_alone_on_every_platform(self, tmp_path, monkeypatch):
         # _pyio's text layer turns "\n" into os.linesep as the C layer does on

@@ -6,10 +6,12 @@ import io
 import math
 import operator
 import os
+import sys
+import threading
 import warnings
 from array import array
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -155,11 +157,15 @@ class DatasetFormatError(ValueError):
 
 
 # most rows per block cut by even_blocks: of a forward pass of the value path
-# or evaluate_policy, whose GEMM bits depend on the cuts; of supervised_to_bandit
-# or a CSV write, whose output does not but whose memory does (on 2 cores a
-# 100k-row write is within 15% of its best time for blocks of 2048 to 16384
-# rows, and 16384-row write blocks raised pipeline_large's peak RSS by 6 MB)
-ROW_BLOCK = 16_384
+# or evaluate_policy, whose GEMM bits depend on the cuts (run_blocks has up to
+# one block per CPU in flight: 16384-row blocks raised ope_select's peak RSS by
+# 5-7 MB on 2 cores, 8192-row blocks by 3.3 MB, and a split at 8192 leaves every
+# block over 4096 rows, beyond OpenBLAS's small-matrix regime); of
+# supervised_to_bandit or a CSV write, whose output does not depend on the cuts
+# but whose memory does (on 2 cores a 100k-row write is within 15% of its best
+# time for blocks of 2048 to 16384 rows, and 16384-row write blocks raised
+# pipeline_large's peak RSS by 6 MB)
+ROW_BLOCK = 8192
 STREAM_BLOCK = 4096
 # fewest rows a CSV write forks for: on 2 cores a fresh process's first
 # write broke even with the serial one at 12k-14k rows and won from 16k
@@ -178,6 +184,77 @@ def even_blocks(n: int, most: int) -> list[slice]:
     size, extra = divmod(n, max(count, 1))
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def run_blocks(fn, n: int) -> None:
+    """Call ``fn(rows)`` for each slice of ``even_blocks(n, ROW_BLOCK)``; ``fn``
+    writes its block's results into an output the caller allocated up front.
+
+    When BLAS runs one thread, the blocks are shared out over one thread per
+    CPU in the affinity mask (``taskset``), the caller's among them.  numpy
+    releases the GIL in matmul and the ufuncs and each block keeps its cut, so
+    every value has the same bits on any thread count.  Otherwise, or where the
+    BLAS count cannot be read, every block runs in the caller: on 2 cores at 2
+    BLAS threads, threaded blocks scored an ope_select candidate in 39 ms against
+    20 ms serial (medians of 12 rounds).  Every thread is joined before the call returns or raises, so a
+    fork that follows finds none running; an error in a block is raised with
+    its own type, the first thread's first."""
+    blocks = even_blocks(n, ROW_BLOCK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = min(len(blocks), cpus) if len(blocks) > 1 and blas_threads() == 1 else 1
+    errors = [None] * count
+
+    def share(i):
+        try:
+            for rows in blocks[i::count]:
+                fn(rows)
+        except BaseException as error:  # raised below, once every thread is joined
+            errors[i] = error
+
+    threads = []
+    try:
+        for i in range(1, count):
+            thread = threading.Thread(target=share, args=(i,))
+            thread.start()
+            threads.append(thread)
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+# the thread-count getters of the OpenBLAS builds that numpy wheels bundle
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS that numpy's core module loaded,
+    found through that module's handle, or None for another BLAS or platform."""
+    import ctypes
+
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        library = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _BLAS_THREAD_GETTERS:
+        getter = getattr(library, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS runs, or None where it cannot be read."""
+    getter = _blas_thread_getter()
+    return None if getter is None else getter()
 
 
 def draw_actions(P: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -167,9 +167,13 @@ def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts) -> list[float]:
 
 def _value_log_pi(policy, contexts, actions) -> np.ndarray:
     """log pi(a_i|x_i), read-only, from forward passes over views of row blocks,
-    so that the memory it takes does not grow with the log."""
-    log_pi = np.concatenate([log_softmax(policy.forward(contexts[rows])[0], actions[rows])
-                             for rows in data.even_blocks(len(actions), data.ROW_BLOCK)])
+    so that the memory it takes does not grow with the log (see data.run_blocks)."""
+    log_pi = np.empty(len(actions))
+
+    def block(rows):
+        log_pi[rows] = log_softmax(policy.forward(contexts[rows])[0], actions[rows])
+
+    data.run_blocks(block, len(actions))
     log_pi.flags.writeable = False
     return log_pi
 

@@ -97,7 +97,8 @@ def evaluate_policy(
     Expected risk is computed exactly from the policy probabilities:
     -(1/N) sum_i pi(label_i | x_i); accuracy uses the argmax action.  The
     forward passes run over views of blocks of at most ``data.ROW_BLOCK``
-    rows, so the memory they take does not grow with the test set.
+    rows (see :func:`data.run_blocks`), so the memory they take does not grow
+    with the test set.
     """
     if policy.input_dim != test.dim:
         raise ValueError(f"policy expects d={policy.input_dim}, test data has d={test.dim}")
@@ -105,12 +106,15 @@ def evaluate_policy(
         raise ValueError("no test rows to evaluate on")
     if test.labels.max() >= policy.action_count:
         raise ValueError(f"test labels must lie in [0, {policy.action_count})")
-    chosen, hits = [], []
-    for rows in data.even_blocks(len(test), data.ROW_BLOCK):
+    chosen, hits = np.empty(len(test)), np.empty(len(test), dtype=bool)
+
+    def block(rows):
         probs, y = policy.probs_batch(test.features[rows]), test.labels[rows]
-        chosen.append(probs[np.arange(len(y)), y])
-        hits.append(np.argmax(probs, axis=1) == y)
-    return -float(np.mean(np.concatenate(chosen))), float(np.mean(np.concatenate(hits)))
+        chosen[rows] = probs[np.arange(len(y)), y]
+        hits[rows] = np.argmax(probs, axis=1) == y
+
+    data.run_blocks(block, len(test))
+    return -float(np.mean(chosen)), float(np.mean(hits))
 
 
 # ---- experiment sweep ------------------------------------------------------

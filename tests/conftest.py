@@ -1,9 +1,11 @@
 import concurrent.futures
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import semicrm.data
 from semicrm.bounds import DiscreteEnvironment
 from semicrm.data import BanditLog
 from semicrm import estimators
@@ -88,6 +90,28 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return made
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """Sets what ``data.run_blocks`` reads, as ``set_to(blas, cpus)``: the BLAS
+    thread count (None where it cannot be read) and the CPUs in the affinity
+    mask.  On a multi-core host BLAS runs several threads by default, which
+    runs every block in the caller, so there only a test that sets 1 here
+    reaches the threaded path."""
+    def set_to(blas, cpus):
+        monkeypatch.setattr(semicrm.data, "blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    return set_to
+
+
+def view_rows(views, base) -> list[tuple[int, int]]:
+    """(first row, row count) in ``base`` of each of the row-block ``views``,
+    sorted: the multiset of blocks whatever order threads ran them in."""
+    start = base.__array_interface__["data"][0]
+    return sorted(((view.__array_interface__["data"][0] - start) // base.strides[0], len(view))
+                  for view in views)
 
 
 def traced_peak(fn, *args) -> int:

@@ -1,6 +1,10 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -169,6 +173,81 @@ class TestEvenBlocks:
         if n:
             assert [b.stop - b.start for b in blocks] == [
                 len(part) for part in np.array_split(np.arange(n), len(blocks))]
+
+
+class BlockError(Exception):
+    pass
+
+
+class TestRunBlocks:
+    """``data.run_blocks`` with ROW_BLOCK 7: 70 rows are 10 blocks."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", 7)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 5, 70])
+    def test_each_block_once_on_one_thread_per_cpu(self, n, cpus, block_threads):
+        block_threads(1, cpus)
+        seen, written = [], np.zeros(n, dtype=int)
+
+        def fn(rows):
+            seen.append((rows.start, rows.stop, threading.current_thread().name))
+            written[rows] += 1
+
+        running, switch = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so a lost write would show
+        try:
+            semicrm.data.run_blocks(fn, n)
+        finally:
+            sys.setswitchinterval(switch)
+        assert threading.active_count() == running
+        blocks = semicrm.data.even_blocks(n, 7)
+        assert [(start, stop) for start, stop, _ in sorted(seen)] == [
+            (b.start, b.stop) for b in blocks]
+        assert np.all(written == 1)
+        names = {name for _, _, name in seen}
+        assert len(names) == min(cpus, len(blocks))
+        assert not blocks or threading.current_thread().name in names
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [0, 1, 9])
+    def test_an_error_in_any_block_reaches_the_caller_with_its_type(self, failing, cpus,
+                                                                    block_threads):
+        block_threads(1, cpus)
+        blocks = semicrm.data.even_blocks(70, 7)
+
+        def fn(rows):
+            if rows == blocks[failing]:
+                raise BlockError(rows.start)
+            time.sleep(0.01)  # still running when the failing block raises
+
+        running = threading.active_count()
+        with pytest.raises(BlockError, match=f"^{blocks[failing].start}$"):
+            semicrm.data.run_blocks(fn, 70)
+        assert threading.active_count() == running
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("blas", [2, None])
+    def test_any_other_blas_count_runs_every_block_in_the_caller(self, blas, cpus,
+                                                                 block_threads):
+        block_threads(blas, cpus)
+        seen = []
+        semicrm.data.run_blocks(lambda rows: seen.append((rows, threading.current_thread())), 70)
+        assert seen == [(rows, threading.current_thread())
+                        for rows in semicrm.data.even_blocks(70, 7)]
+
+    def test_blas_threads_reads_the_count_numpy_runs(self):
+        if semicrm.data.blas_threads() is None:
+            pytest.skip("numpy's BLAS has no thread count that can be read here")
+        src = str(Path(semicrm.data.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        printed = subprocess.run(
+            [sys.executable, "-c", "import semicrm.data; print(semicrm.data.blas_threads())"],
+            env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+        assert printed == "1\n"
 
 
 class TestSupervisedToBandit:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     table_policy,
     uniform_policy,
     value_and_grad_of,
+    view_rows,
 )
 
 import semicrm.data
@@ -456,7 +458,7 @@ class TestTermValues:
             mp.setattr(semicrm.data, "ROW_BLOCK", block)
             values = term_values(policy, BanditLog(contexts, actions, propensities, rewards, 5),
                                  parts)
-        assert [len(X) for X in seen] == [len(b) for b in blocks]
+        assert view_rows(seen, contexts) == [(b[0], len(b)) for b in blocks]
         assert all(X.base is contexts for X in seen)  # views, not gathered copies
         assert np.array(values).tobytes() == np.array(want).tobytes()
 
@@ -476,6 +478,23 @@ class TestTermValues:
         values = term_values(policy, rows, parts)
         assert max(seen) <= 7 and sum(seen) == len(rows)
         assert values == pytest.approx(whole, rel=1e-12)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("block", [7, 512, 8192])
+    def test_threaded_value_blocks_keep_the_serial_bits(self, block, cpus, block_threads,
+                                                        monkeypatch):
+        rng = make_rng(39)
+        n = 20_000  # three blocks at 8192
+        contexts, actions = rng.standard_normal((n, 4)), rng.integers(0, 5, n)
+        policy = SoftmaxPolicy.create(4, 5, (20, 20), rng)
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", block)
+        block_threads(None, cpus)
+        serial = estimators._value_log_pi(policy, contexts, actions)
+        block_threads(1, cpus)
+        running = threading.active_count()
+        threaded = estimators._value_log_pi(policy, contexts, actions)
+        assert threading.active_count() == running
+        assert threaded.tobytes() == serial.tobytes()
 
 
 def estimates(policy, S, S_u, floor):

@@ -1,10 +1,11 @@
 import multiprocessing
 import os
+import threading
 from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
-from conftest import run_row_term, traced_peak, uniform_policy
+from conftest import run_row_term, traced_peak, uniform_policy, view_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,9 +117,26 @@ class TestEvaluatePolicy:
             mp.setattr(policy, "forward", lambda X: seen.append(X) or forward(X))
             mp.setattr(semicrm.data, "ROW_BLOCK", block)
             got = evaluate_policy(policy, test)
-        assert [len(X) for X in seen] == [len(b) for b in blocks]
+        assert view_rows(seen, features) == [(b[0], len(b)) for b in blocks]
         assert all(X.base is features for X in seen)  # views, not gathered copies
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("block", [7, 512, 8192])
+    def test_threaded_blocks_keep_the_serial_bits(self, block, cpus, block_threads,
+                                                  monkeypatch):
+        rng = make_rng(9)
+        n = 20_000  # three blocks at 8192
+        test = SupervisedDataset(rng.standard_normal((n, 4)), rng.integers(0, 5, n))
+        policy = SoftmaxPolicy.create(4, 5, (20, 20), rng)
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", block)
+        block_threads(None, cpus)
+        serial = evaluate_policy(policy, test)
+        block_threads(1, cpus)
+        running = threading.active_count()
+        threaded = evaluate_policy(policy, test)
+        assert threading.active_count() == running
+        assert np.array(threaded).tobytes() == np.array(serial).tobytes()
 
     def test_memory_does_not_grow_with_the_test_set(self, monkeypatch):
         block = 512
@@ -130,9 +148,9 @@ class TestEvaluatePolicy:
         one, two, eight = (traced_peak(evaluate_policy, policy,
                                        test.subset(slice(0, blocks * block)))
                            for blocks in (1, 2, 8))
-        # the per-row results take 9 bytes a row, twice while they are joined;
-        # a block's forward pass takes far more, so an evaluation that held
-        # more than one block would fail this
+        # the per-row results take 9 bytes a row; a block's forward pass takes
+        # far more, so an evaluation that held more blocks than it runs at once
+        # would fail this
         assert abs(eight - two) < one
 
 

@@ -156,14 +156,14 @@ class DatasetFormatError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-# most rows per block cut by even_blocks: of a forward pass of the value path
-# or evaluate_policy, whose GEMM bits depend on the cuts (run_blocks has up to
-# one block per CPU in flight: 16384-row blocks raised ope_select's peak RSS by
-# 5-7 MB on 2 cores, 8192-row blocks by 3.3 MB, and a split at 8192 leaves every
-# block over 4096 rows, beyond OpenBLAS's small-matrix regime); of
-# supervised_to_bandit or a CSV write, whose output does not depend on the cuts
-# but whose memory does (on 2 cores a 100k-row write is within 15% of its best
-# time for blocks of 2048 to 16384 rows, and 16384-row write blocks raised
+# most rows per block cut by even_blocks: of a forward pass of the value path,
+# evaluate_policy or supervised_to_bandit, whose GEMM bits depend on the cuts
+# (run_blocks has up to one block per CPU in flight: 16384-row blocks raised
+# ope_select's peak RSS by 5-7 MB on 2 cores, 8192-row blocks by 3.3 MB, and a
+# split at 8192 leaves every block over 4096 rows, beyond OpenBLAS's
+# small-matrix regime); of a CSV write, whose output does not depend on the
+# cuts but whose memory does (on 2 cores a 100k-row write is within 15% of its
+# best time for blocks of 2048 to 16384 rows, and 16384-row write blocks raised
 # pipeline_large's peak RSS by 6 MB)
 ROW_BLOCK = 8192
 STREAM_BLOCK = 4096
@@ -276,6 +276,8 @@ def supervised_to_bandit(
     For each row an action is sampled from the logging policy, the propensity
     is that action's probability, and the reward is -1 when the action matches
     the label and 0 otherwise.  The log has the logging policy's action count.
+    Probabilities come from ``probs_batch`` over ``even_blocks(n, ROW_BLOCK)``,
+    so a propensity's last bits depend on that cut.
     """
     if logging_policy.input_dim != ds.dim:
         raise ValueError(f"logging policy expects d={logging_policy.input_dim}, "
@@ -286,9 +288,8 @@ def supervised_to_bandit(
     n = len(ds)
     u = rng.random(n)  # the same stream as n calls to rng.random()
     actions, propensities = np.zeros(n, dtype=int), np.zeros(n)
-    for block in even_blocks(n, STREAM_BLOCK):
-        # probs, not probs_batch: each propensity is then probs(x)[a] exactly
-        P = logging_policy.probs(ds.features[block])
+    for block in even_blocks(n, ROW_BLOCK):
+        P = logging_policy.probs_batch(ds.features[block])
         a = draw_actions(P, u[block])
         actions[block], propensities[block] = a, P[np.arange(len(a)), a]
     rewards = np.where(actions == ds.labels, -1.0, 0.0)

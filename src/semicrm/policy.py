@@ -103,8 +103,7 @@ class SoftmaxPolicy(_FlatParams):
         """Scores for a batch of contexts plus the activation cache for backward.
 
         Returns ``(scores, cache)`` where scores has shape (N, k) and cache
-        holds the input and every post-ReLU hidden activation.  A stack of
-        batches (n, N, d) gives (n, N, k) scores, one product per batch.
+        holds the input and every post-ReLU hidden activation.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[-1] != self.input_dim:
@@ -141,26 +140,12 @@ class SoftmaxPolicy(_FlatParams):
     def probs_batch(self, X: np.ndarray) -> np.ndarray:
         """Action probabilities for each row of ``X`` in one (N, d) product.
 
-        A row's last bits can depend on the batch it arrives in; use
-        :meth:`probs` where they must not."""
+        A row's last bits can depend on the batch it arrives in."""
         return softmax(self.forward(X)[0])
-
-    def probs(self, X: np.ndarray) -> np.ndarray:
-        """Action probabilities (positive, sum to 1) for one context (d,) or for
-        each row of a batch (n, d).
-
-        Each row goes through ``forward`` as its own (1, d) product, stacked as
-        ``X[:, None, :]``, so its probabilities are the same bits whatever batch
-        it arrives in: a propensity stored from a batch equals ``probs(x)[a]``.
-        """
-        X = np.asarray(X, dtype=float)
-        scores, _ = self.forward(X[..., None, :])
-        p = softmax(scores[..., 0, :])
-        return p[0] if X.ndim == 1 else p
 
 
 def _add_bias(h: np.ndarray, b: np.ndarray) -> None:
-    """``h += b`` in place, over every row of ``h`` whatever its leading axes.
+    """``h += b`` in place, over every row of ``h``.
 
     numpy broadcasts b over rows of b's width, one inner loop per row.  From
     BIAS_TILE_ROWS rows on, a C-order h is added to as rows of about BIAS_ROW

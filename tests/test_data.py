@@ -269,20 +269,23 @@ class TestSupervisedToBandit:
         frac = np.mean(S.rewards == -1.0)
         assert abs(frac - 0.10) < 0.01
 
-    def test_propensity_equals_policy_probability(self):
+    def test_propensity_equals_policy_probability(self, monkeypatch):
+        # 50 rows are 8 blocks: each propensity has the bits of its block's product
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", 7)
         ds = label_concentrated_dataset()
         p = SoftmaxPolicy.create(2, 3, (4,), make_rng(9))
         S = supervised_to_bandit(ds, p, make_rng(4))
-        batch = p.probs(S.contexts)
-        assert batch.shape == (len(S), 3)
-        for x, a, propensity, row in zip(S.contexts, S.actions, S.propensities, batch):
-            assert np.array_equal(row, p.probs(x))
-            assert propensity == p.probs(x)[a]
+        blocks = semicrm.data.even_blocks(len(S), 7)
+        assert len(blocks) == 8
+        for block in blocks:
+            P = p.probs_batch(ds.features[block])
+            chosen = P[np.arange(len(P)), S.actions[block]]
+            assert S.propensities[block].tobytes() == chosen.tobytes()
 
     @pytest.mark.parametrize("hidden", [(), (4,), (20, 20)])
     def test_blocked_transform_equals_the_per_row_loop(self, hidden, monkeypatch):
         # more rows than one block, and not a multiple of it
-        monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 100)
+        monkeypatch.setattr(semicrm.data, "ROW_BLOCK", 100)
         n = 2 * 100 + 23
         ds = label_concentrated_dataset(n=n, d=10, k=5, seed=11)
         policy = SoftmaxPolicy.create(10, 5, hidden, make_rng(12))
@@ -295,7 +298,8 @@ class TestSupervisedToBandit:
         assert seen == [75, 74, 74]
         actions, propensities = per_row_to_bandit(ds, policy, reference_rng)
         assert np.array_equal(S.actions, actions)
-        assert np.array_equal(S.propensities, propensities)
+        # a block's product and a row's own differ at most in the last bits
+        assert np.max(np.abs(S.propensities - propensities)) <= 1e-14
         # the transform consumed exactly n rng.random() draws
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
@@ -310,7 +314,7 @@ class TestSupervisedToBandit:
         policy.weights[0][:] = 0.0
         policy.biases[0][:] = [0.0, -2.997, -1000.0]
         ds = SupervisedDataset(np.zeros((1, 2)), np.array([1]))
-        P = policy.probs(ds.features)[0]
+        P = policy.probs_batch(ds.features)[0]
         assert P[2] == 0.0 and np.cumsum(P)[-1] <= np.nextafter(1.0, 0.0)
         S = supervised_to_bandit(ds, policy, LastDraw())
         assert S.actions.tolist() == [1]

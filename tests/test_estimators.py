@@ -109,7 +109,8 @@ class TestTruncatedIps:
         S = env.sample_logged(100, rng)
         policy = table_policy(env)
         expected = np.mean([
-            r * policy.probs(x)[a] for x, a, r in zip(S.contexts, S.actions, S.rewards)
+            r * policy.probs_batch(x[None])[0][a]
+            for x, a, r in zip(S.contexts, S.actions, S.rewards)
         ])
         assert truncated_ips_risk(policy, S, 1.0) == pytest.approx(expected, abs=1e-12)
 
@@ -192,7 +193,7 @@ class TestRklAndWce:
         actions = S_u.actions
         counts = np.bincount(actions, minlength=3)
         expected = sum(
-            -(1.0 / counts[a]) * math.log(policy.probs(x)[a])
+            -(1.0 / counts[a]) * math.log(policy.probs_batch(x[None])[0][a])
             for x, a in zip(S_u.contexts, S_u.actions)
         )
         assert wce_regularizer(policy, S_u, 1.0) == pytest.approx(expected, abs=1e-12)

@@ -116,7 +116,7 @@ def perturbed(policy: SoftmaxPolicy, flat_delta: np.ndarray) -> SoftmaxPolicy:
 class TestProbs:
     def test_zero_parameters_give_uniform(self):
         p = zero_policy(k=4)
-        assert np.allclose(p.probs(np.array([1.0, -2.0, 0.3])), 0.25)
+        assert np.allclose(p.probs_batch(np.array([1.0, -2.0, 0.3])[None])[0], 0.25)
 
     def test_identity_scorer_hand_value(self):
         # linear scorer with scores [0, ln 2] -> softmax (1/3, 2/3)
@@ -124,7 +124,7 @@ class TestProbs:
             weights=[np.array([[1.0, 0.0], [0.0, 1.0]])],
             biases=[np.zeros(2)],
         )
-        got = p.probs(np.array([0.0, np.log(2.0)]))
+        got = p.probs_batch(np.array([0.0, np.log(2.0)])[None])[0]
         assert np.allclose(got, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
     def test_score_shift_invariance(self):
@@ -132,12 +132,12 @@ class TestProbs:
         x = make_rng(7).standard_normal(3)
         shifted = p.copy()
         shifted.biases[-1] += 11.5
-        assert np.allclose(p.probs(x), shifted.probs(x), atol=1e-12)
+        assert np.allclose(p.probs_batch(x[None])[0], shifted.probs_batch(x[None])[0], atol=1e-12)
 
     def test_dimension_mismatch(self):
-        for contexts in (np.zeros(5), np.zeros((4, 5))):
+        for contexts in (np.zeros((1, 5)), np.zeros((4, 5))):
             with pytest.raises(DimensionMismatchError):
-                random_policy(d=3).probs(contexts)
+                random_policy(d=3).probs_batch(contexts)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -145,7 +145,7 @@ class TestProbs:
         rng = make_rng(seed)
         p = SoftmaxPolicy.create(4, 5, (6,), rng)
         x = 3.0 * rng.standard_normal(4)
-        probs = p.probs(x)
+        probs = p.probs_batch(x[None])[0]
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs > 0.0)
 
@@ -192,11 +192,9 @@ class TestKernelBits:
     of the out-of-place expressions they replace."""
 
     @settings(max_examples=60, deadline=None)
-    @given(KERNEL_CASES, st.booleans())
-    def test_forward_matches_the_out_of_place_form(self, case, stacked):
+    @given(KERNEL_CASES)
+    def test_forward_matches_the_out_of_place_form(self, case):
         policy, X, _ = kernel_case(*case)
-        if stacked:  # (n, 1, d), as probs() passes it
-            X = X[:, None, :]
         X_before = X.copy()
         scores, cache = policy.forward(read_only(X))
         want_scores, want_cache = reference_forward(policy, X_before)
@@ -234,7 +232,6 @@ class TestLongRowBias:
 
     @pytest.mark.parametrize("shape", [
         (64, 20), (320, 5), (2000, 20), (15000, 20), (15000, 5),
-        (4096, 1, 20),  # a stack, as probs() forwards it
         (3 * (semicrm.policy.BIAS_ROW // 20), 20),  # whole long rows, no partial one
         (1237, 7),  # a partial last long row
     ])
@@ -363,8 +360,8 @@ class TestGradScalar:
 
             def val(policy):
                 if mode == "prob":
-                    return policy.probs(x)[a]
-                return np.log(policy.probs(x)[a])
+                    return policy.probs_batch(x[None])[0][a]
+                return np.log(policy.probs_batch(x[None])[0][a])
 
             num[i] = (val(perturbed(p, e)) - val(perturbed(p, -e))) / (2 * h)
         scale = max(np.abs(analytic).max(), 1.0)

@@ -12,10 +12,12 @@ import warnings
 from array import array
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .policy import SoftmaxPolicy
+if TYPE_CHECKING:
+    from .policy import SoftmaxPolicy
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,12 +46,6 @@ def check_rewarded(rewards: np.ndarray) -> None:
         raise ValueError("IPS needs a reward on every row it covers")
 
 
-def _read_only(arrays: tuple) -> tuple:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _group_weights(actions: np.ndarray) -> np.ndarray:
     """Per-row weight 1/m_[a], counting m_[a] over the given rows only."""
     return 1.0 / np.bincount(actions)[actions]
@@ -159,8 +153,9 @@ def term_values(policy: SoftmaxPolicy, rows: BanditLog, parts) -> list[float]:
     values = []
     for term, part, _, floor in parts:
         constants_of, rows_of = ROW_TERMS[term]
-        constants = rows.memo(term, (part, floor), lambda: _read_only(constants_of(
-            rows.actions[part], rows.propensities[part], rows.rewards[part], floor)))
+        constants = rows.memo(term, (part, floor), lambda: tuple(
+            data._read_only(a, float) for a in constants_of(
+                rows.actions[part], rows.propensities[part], rows.rewards[part], floor)))
         values.append(float(np.sum(rows_of(log_pi[part], *constants)[0])))
     return values
 
@@ -174,8 +169,7 @@ def _value_log_pi(policy, contexts, actions) -> np.ndarray:
         log_pi[rows] = log_softmax(policy.forward(contexts[rows])[0], actions[rows])
 
     data.run_blocks(block, len(actions))
-    log_pi.flags.writeable = False
-    return log_pi
+    return data._read_only(log_pi, float)
 
 
 def value_and_grad(policy: SoftmaxPolicy, contexts, actions, propensities, rewards,

@@ -13,6 +13,8 @@ import functools
 
 import numpy as np
 
+from .data import write_lines
+
 # values per long row of the bias add: a bias tiled to this length is 64 KB
 BIAS_ROW = 8192
 # fewest rows whose bias is added over long rows: on 2 cores the long-row add
@@ -208,79 +210,71 @@ def log_softmax(scores: np.ndarray, actions: np.ndarray) -> np.ndarray:
 #
 #   semicrm-policy v1
 #   dims <d> <h1> ... <k>
-#   W<i> then fan_in rows of fan_out decimal values (17 significant digits)
-#   b<i> then one row of fan_out values
+#   then each block of _layout: its label, then its rows of decimal values
+#   (17 significant digits)
 
 _MAGIC = "semicrm-policy v1"
 
 
+def _layout(dims):
+    """(label, rows, width) of each block of a checkpoint of layer sizes ``dims``, in
+    file order: W<i>, fan_in rows of fan_out values, then b<i>, one row of them."""
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        yield f"W{i}", fan_in, fan_out
+        yield f"b{i}", 1, fan_out
+
+
 def save_policy(policy: SoftmaxPolicy, path) -> None:
-    lines = [_MAGIC]
     dims = [policy.input_dim, *policy.hidden_widths, policy.action_count]
-    lines.append("dims " + " ".join(str(d) for d in dims))
-    for i, (w, b) in enumerate(zip(policy.weights, policy.biases)):
-        lines.append(f"W{i}")
-        for row in w:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-        lines.append(f"b{i}")
-        lines.append(" ".join(f"{v:.17g}" for v in b))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [_MAGIC, "dims " + " ".join(str(d) for d in dims)]
+    arrays = [a for layer in zip(policy.weights, policy.biases) for a in layer]
+    for (label, rows, width), a in zip(_layout(dims), arrays):
+        lines.append(label)
+        lines.extend(" ".join(f"{v:.17g}" for v in row) for row in a.reshape(rows, width))
+    write_lines(path, lines)
 
 
 def load_policy(path) -> SoftmaxPolicy:
-    """Read a checkpoint; a malformed one is rejected with its 1-based line number."""
+    """Read a checkpoint; a malformed one is rejected with its 1-based line number.
+    Each block's rows are parsed in one numpy conversion."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC} checkpoint")
-
-    def line(pos: int, expected: str | None = None) -> str:
-        if pos >= len(lines):
-            raise ValueError(f"{path}: line {pos + 1}: unexpected end of file")
-        if expected is not None and lines[pos] != expected:
-            raise ValueError(f"{path}: line {pos + 1}: expected {expected}")
-        return lines[pos]
-
-    def row(pos: int, width: int) -> np.ndarray:
-        tokens = line(pos).split()
-        try:
-            values = np.array([float(tok) for tok in tokens], dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {pos + 1}: {exc}") from exc
-        if values.shape != (width,) or not np.all(np.isfinite(values)):
-            raise ValueError(f"{path}: line {pos + 1}: expected {width} finite values")
-        return values
-
-    def layer(pos: int, i: int, fan_in: int, fan_out: int) -> tuple[np.ndarray, np.ndarray]:
-        """W<i> and b<i> from line ``pos`` on, every value parsed in one numpy
-        conversion; on any fault, the line-by-line parse names the first bad line."""
-        rows = lines[pos + 1:pos + 1 + fan_in] + lines[pos + 2 + fan_in:pos + 3 + fan_in]
-        try:
-            values = np.array([ln.split() for ln in rows], dtype=float)
-        except ValueError:
-            values = None
-        if (values is None or values.shape != (fan_in + 1, fan_out)
-                or not np.isfinite(values).all()
-                or lines[pos] != f"W{i}" or lines[pos + 1 + fan_in] != f"b{i}"):
-            line(pos, f"W{i}")
-            weights = np.vstack([row(pos + 1 + r, fan_out) for r in range(fan_in)])
-            line(pos + 1 + fan_in, f"b{i}")
-            return weights, row(pos + 2 + fan_in, fan_out)
-        return values[:-1], values[-1]
-
-    head, *sizes = line(1).split() or [""]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: line 2: unexpected end of file")
+    head, *sizes = lines[1].split() or [""]
     if head != "dims" or len(sizes) < 2 or not all(t.isdecimal() and int(t) for t in sizes):
         raise ValueError(f"{path}: line 2: expected dims and two or more layer sizes")
-    dims = [int(t) for t in sizes]
-    weights, biases = [], []
-    pos = 2
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        w, b = layer(pos, i, fan_in, fan_out)
-        weights.append(w)
-        biases.append(b)
-        pos += 3 + fan_in
+    blocks, pos = [], 2
+    for label, rows, width in _layout([int(t) for t in sizes]):
+        if lines[pos:pos + 1] != [label]:
+            fault = f"expected {label}" if pos < len(lines) else "unexpected end of file"
+            raise ValueError(f"{path}: line {pos + 1}: {fault}")
+        body = lines[pos + 1:pos + 1 + rows]
+        try:
+            block = np.array([ln.split() for ln in body], dtype=float)
+        except ValueError:
+            block = None
+        if block is None or block.shape != (rows, width) or not np.isfinite(block).all():
+            _reject_rows(path, body, pos + 1, width)
+        blocks.append(block)
+        pos += 1 + rows
     extra = next((i for i in range(pos, len(lines)) if lines[i].strip()), None)
     if extra is not None:
-        raise ValueError(f"{path}: line {extra + 1}: expected end of file after b{len(biases) - 1}")
-    return SoftmaxPolicy(weights, biases)
+        raise ValueError(f"{path}: line {extra + 1}: expected end of file after {label}")
+    return SoftmaxPolicy(blocks[::2], [b[0] for b in blocks[1::2]])
+
+
+def _reject_rows(path, body: list[str], start: int, width: int) -> None:
+    """Name the first bad line of a block's rows ``body``, from 0-based line ``start``
+    on, each value parsed by float().  numpy parses a value as float() does, so rows
+    that its conversion refused hold a bad line or end before the block does."""
+    for at, line in enumerate(body, start):
+        try:
+            values = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {at + 1}: {exc}") from exc
+        if len(values) != width or not np.isfinite(values).all():
+            raise ValueError(f"{path}: line {at + 1}: expected {width} finite values")
+    raise ValueError(f"{path}: line {start + len(body) + 1}: unexpected end of file")

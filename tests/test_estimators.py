@@ -661,9 +661,14 @@ class TestConstantsMemo:
                    for a in (value if isinstance(value, tuple) else (value,)))
         assert held <= 6 * len(S_u) * 8  # log pi, 2 for KL, 2 for RKL, 1 for WCE
 
-    def test_constants_are_read_only(self, logs):
-        _, S_u = logs
-        kl_regularizer(SoftmaxPolicy.create(2, 3, (5,), make_rng(55)), S_u, 0.1)
-        for constant in S_u._memo["KL"][1]:
+    @pytest.mark.parametrize("log, slot", [
+        (0, "log_pi"), (0, "IPS"), (1, "log_pi"), (1, "KL"), (1, "RKL"), (1, "WCE"),
+    ], ids=["S-log_pi", "S-IPS", "S_u-log_pi", "S_u-KL", "S_u-RKL", "S_u-WCE"])
+    def test_constants_are_read_only(self, logs, log, slot):
+        """Every array the memo keeps, log pi and each term's constants."""
+        S, S_u = logs
+        estimates(SoftmaxPolicy.create(2, 3, (5,), make_rng(55)), S, S_u, 0.1)
+        kept = logs[log]._memo[slot][1]
+        for array in kept if isinstance(kept, tuple) else (kept,):
             with pytest.raises(ValueError, match="read-only"):
-                constant[0] = 1.0
+                array[0] = 1.0

@@ -439,7 +439,7 @@ GOLDEN_CHECKPOINT = (
 
 def reference_parse(path) -> np.ndarray:
     """Every value of a checkpoint, in file order, each by Python's own
-    ``float()``: the bits the loader's one numpy conversion per layer must give."""
+    ``float()``: the bits the loader's one numpy conversion per block must give."""
     lines = path.read_text().splitlines()[2:]
     return np.array([float(tok) for ln in lines if ln[:1] not in ("W", "b")
                      for tok in ln.split()])
@@ -449,6 +449,15 @@ def file_order(policy: SoftmaxPolicy) -> np.ndarray:
     """A policy's values in checkpoint order: each W<i>'s rows, then b<i>."""
     return np.concatenate([a.ravel() for w, b in zip(policy.weights, policy.biases)
                            for a in (w, b)])
+
+
+def set_lines(replacements: dict):
+    """An edit of a checkpoint's lines: each 1-based line number in
+    ``replacements`` gets its text."""
+    def edit(lines):
+        for number, text in replacements.items():
+            lines[number - 1] = text
+    return edit
 
 
 class TestCheckpoint:
@@ -501,7 +510,7 @@ class TestCheckpoint:
     def test_lines_end_in_a_newline_alone_on_every_platform(self, tmp_path, monkeypatch):
         # _pyio's text layer turns "\n" into os.linesep as the C layer does on
         # Windows, and reads os.linesep when a file is opened, unlike the C layer
-        monkeypatch.setattr(semicrm.policy, "open", _pyio.open, raising=False)
+        monkeypatch.setattr(semicrm.data, "open", _pyio.open, raising=False)
         monkeypatch.setattr(os, "linesep", "\r\n")
         path = tmp_path / "golden.policy"
         save_policy(SoftmaxPolicy(**GOLDEN_POLICY), path)
@@ -564,6 +573,30 @@ class TestCheckpoint:
     def test_line_after_the_last_bias_row_rejected_with_line_number(self, tmp_path, edit):
         with pytest.raises(ValueError, match="line 26: expected end of file after b2"):
             load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    # lines 9-15 W1 and its 6 rows of 5, 16-17 b1, 18-23 W2 and its 5 rows of 4,
+    # 24-25 b2 and its row: the walk reports the first bad line of any layer
+    @pytest.mark.parametrize("edit, message", [
+        (set_lines({16: "W1"}), "line 16: expected b1"),
+        (set_lines({25: "nan 0 0 0"}), "line 25: expected 4 finite values"),
+        (lambda lines: lines.__delitem__(slice(11, None)), "line 12: unexpected end of file"),
+        (set_lines({11: "1 2", 13: "x", 25: "x"}), "line 11: expected 5 finite values"),
+    ], ids=["b1-label", "b2-nan", "cut-after-line-11", "bad-W1-and-b2-rows"])
+    def test_fault_past_layer_0_rejected_with_its_line_number(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            load_policy(self.edited_checkpoint(tmp_path, edit))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_saving_a_loaded_checkpoint_writes_its_bytes(self, tmp_path_factory, data):
+        dims = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+        p = random_policy(d=dims[0], k=dims[-1], hidden=tuple(dims[1:-1]))
+        p.flat[:] = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=p.flat.size, max_size=p.flat.size))
+        first, second = (tmp_path_factory.mktemp("ckpt") / "policy.txt" for _ in range(2))
+        save_policy(p, first)
+        save_policy(load_policy(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_trailing_blank_lines_accepted(self, tmp_path):
         path = self.edited_checkpoint(tmp_path, lambda lines: lines.extend(["", "  "]))

@@ -6,12 +6,17 @@ import io
 import math
 import operator
 import os
+import pickle
+import select
+import signal
+import struct
 import sys
+import tempfile
 import threading
 import warnings
 from array import array
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -202,8 +207,7 @@ def run_blocks(fn, n: int) -> None:
     fork that follows finds none running; an error in a block is raised with
     its own type, the first thread's first."""
     blocks = even_blocks(n, ROW_BLOCK)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = min(len(blocks), cpus) if len(blocks) > 1 and blas_threads() == 1 else 1
+    count = min(len(blocks), _mask_cpus()) if len(blocks) > 1 and blas_threads() == 1 else 1
     errors = [None] * count
 
     def share(i):
@@ -226,6 +230,11 @@ def run_blocks(fn, n: int) -> None:
     for error in errors:
         if error is not None:
             raise error
+
+
+def _mask_cpus() -> int:
+    """The CPUs in the affinity mask (``taskset``); 1 where it cannot be read."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 # the thread-count getters of the OpenBLAS builds that numpy wheels bundle
@@ -345,40 +354,111 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 # reads of a body over CSV_READ_BLOCK bytes parse blocks of it, in forked
 # workers, to the same bytes on any CPU count; the rest is serial.
 
-_INHERITED = None  # fn bound to its args by the fork_map that started this worker
+# a worker's record of a finished item in the result pipe: the item, the
+# worker, and the offset and size of its pickled result in that worker's spool
+_RECORD = struct.Struct("4q")
+# most items handed out whose records the caller has not read: their indices
+# and records fit in 4096 bytes (Linux's PIPE_BUF), the least a pipe holds,
+# so neither the caller's writes nor a worker's block
+_AHEAD = 4096 // _RECORD.size
 
 
 def fork_map(fn, items, *args):
-    """An iterator of ``fn(*args, item)`` for each item, in item order, for
-    several items from forked workers, one per CPU in the affinity mask
-    (``taskset``) and at most one per item.  ``fn`` and ``args`` reach them
-    through the fork; only items and results are pickled.  Closing the
-    iterator early, or an error in an item, drops the items not yet started
-    and joins the workers.  Where ``os.sched_getaffinity`` is missing (macOS,
-    Windows), every item runs in the caller, as it is reached."""
-    if len(items) <= 1 or not hasattr(os, "sched_getaffinity"):
-        for item in items:
-            yield fn(*args, item)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    """An iterator of ``fn(*args, item)`` for each item, in item order: from
+    forked workers, one per CPU in the affinity mask (``taskset``) and at most
+    one per item, or, with one CPU or one item, or where
+    ``os.sched_getaffinity`` is missing (macOS, Windows), from the caller, each
+    item run as it is reached."""
+    workers = min(_mask_cpus(), len(items))
+    if workers <= 1:
+        return (fn(*args, item) for item in items)
+    return _forked(workers, fn, items, args)
 
-    pool = ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(items)),
-                               multiprocessing.get_context("fork"),
-                               initializer=partial(_inherit, fn), initargs=args)
+
+def _forked(workers: int, fn, items, args):
+    """``fork_map`` over ``workers`` forked workers, which inherit ``fn``,
+    ``items`` and ``args``.  An idle worker reads the next item's index from a
+    shared pipe, appends the pickled result, or the exception the item raised,
+    to its own unlinked spool file (``tempfile.TemporaryFile``) and writes a
+    record of where to a shared result pipe.  The caller unpickles one result
+    at a time, in item order, in its own thread; the spools hold the others.
+    Closing the iterator early, an error in an item or a worker that ends
+    kills and reaps every worker."""
+    tasks, results = os.pipe(), os.pipe()
+    fds, pids, spools = [*tasks, *results], {}, []  # pids: exit pipe -> worker
     try:
-        yield from pool.map(_call_inherited, items)
+        for worker in range(workers):
+            spools.append(tempfile.TemporaryFile())
+            exit_r, exit_w = os.pipe()  # reads as ended once the worker exits
+            fds.append(exit_r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, items, args, tasks[0], results[1], spools[-1], worker)
+            finally:
+                os.close(exit_w)
+            pids[exit_r] = pid
+        poller = select.poll()
+        for fd in (results[0], *pids):
+            poller.register(fd, select.POLLIN)
+        handed, read, records = 0, 0, {}
+        for item in range(len(items)):
+            while item not in records:
+                more = range(handed, min(len(items), read + _AHEAD))
+                if more:
+                    os.write(tasks[1], struct.pack(f"{len(more)}q", *more))
+                    handed += len(more)
+                for fd, _ in poller.poll():
+                    if fd in pids:
+                        _, status = os.waitpid(pids.pop(fd), 0)
+                        raise RuntimeError(f"a fork_map worker exited with code "
+                                           f"{os.waitstatus_to_exitcode(status)} "
+                                           f"before its items were done")
+                done = os.read(results[0], _AHEAD * _RECORD.size)
+                records.update((i, where) for i, *where in _RECORD.iter_unpack(done))
+                read += len(done) // _RECORD.size
+            worker, offset, size = records.pop(item)
+            ok, result = pickle.loads(os.pread(spools[worker].fileno(), size, offset))
+            if not ok:
+                raise result
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+        for spool in spools:
+            spool.close()
 
 
-def _inherit(fn, *args):
-    global _INHERITED
-    _INHERITED = partial(fn, *args)
+def _work(fn, items, args, tasks: int, results: int, spool, worker: int):
+    """A forked worker: it runs the items whose indices it reads until it is
+    killed, and exits with code 1 on an error outside an item."""
+    try:
+        offset = 0
+        while True:
+            (item,) = struct.unpack("q", os.read(tasks, 8))  # the caller writes whole indices
+            size = spool.write(_pickled(fn, args, items[item]))
+            spool.flush()
+            os.write(results, _RECORD.pack(item, worker, offset, size))
+            offset += size
+    finally:
+        os._exit(1)
 
 
-def _call_inherited(item):
-    return _INHERITED(item)
+def _pickled(fn, args, item) -> bytes:
+    """``(True, fn(*args, item))`` pickled, or ``(False, the exception it
+    raised)``, or a ``RuntimeError`` naming an exception that does not pickle."""
+    try:
+        return pickle.dumps((True, fn(*args, item)), -1)
+    except BaseException as error:  # raised in the caller
+        try:
+            return pickle.dumps((False, error), -1)
+        except Exception:
+            return pickle.dumps((False, RuntimeError(
+                f"{type(error).__name__}, not picklable: {error}")), -1)
 
 
 def write_lines(path, lines) -> None:
@@ -432,12 +512,15 @@ def _read_lines(path):
 
 
 def _read_columns(path, tail: list, converters: dict, build):
-    """``build``, a data type's constructor, on blocks of the features and then
-    the ``tail`` fields (name, dtype, line parser) of every row, as numpy
-    parses each block (``converters`` keyed by field name) or, when numpy
-    refuses or warns on one (a file with no rows warns; numpy 1.x only warns
-    on an int written as a float) or ``build`` fails, as :func:`_parse_lines`
-    parses the file, in one block."""
+    """``build``, a data type's constructor, on the columns of the rows whose
+    last field is filled and then on those of the rows where it is empty (NaN:
+    a reward-free bandit row), each a list of the features and then the
+    ``tail`` fields (name, dtype, line parser).  numpy parses the body's blocks
+    (``converters`` keyed by field name) and :func:`_fill` copies them into
+    columns of the sizes :func:`_row_counts` counts; when numpy refuses or
+    warns on a block (a file with no rows warns; numpy 1.x only warns on an
+    int written as a float), the parsed rows disagree with the counts, or
+    ``build`` fails, :func:`_parse_lines` parses the file, in one block."""
     lines = _read_lines(path)
     names = [name for name, _, _ in tail]
     lineno, header = next(lines, (1, None))
@@ -446,16 +529,82 @@ def _read_columns(path, tail: list, converters: dict, build):
     if header.split(",")[-len(names):] != names:
         raise DatasetFormatError(lineno, f"header must end with {','.join(names)}")
     d = header.count(",") + 1 - len(names)
-    blocks = list(fork_map(_parse_block, _body_blocks(path), path,
-                           [("x", float, (d,))] + [(n, t) for n, t, _ in tail],
-                           {d + names.index(k): f for k, f in converters.items()}))
-    if None not in blocks:
-        try:
-            return build(blocks)
-        except ValueError:
-            pass  # below the handler, the line parser's error is not chained
-    blocks = None  # free them before the line parser runs
-    return build([_parse_lines(lines, d, [parse for _, _, parse in tail])])
+    dtype = np.dtype([("x", float, (d,))] + [(n, t) for n, t, _ in tail])
+    blocks = fork_map(_parse_block, _body_blocks(path), path, dtype,
+                      {d + names.index(k): f for k, f in converters.items()})
+    try:
+        parts = _fill(blocks, dtype, path)
+        if parts is not None:
+            return build(*parts)
+    except ValueError:
+        pass  # below the handler, the line parser's error is not chained
+    finally:
+        blocks.close()  # kills the workers, if a disagreement stopped the copy
+    parts = None  # free the columns before the line parser runs
+    columns = _parse_lines(lines, d, [parse for _, _, parse in tail])
+    empty = np.isnan(columns[-1])
+    return build(*([column[rows] for column in columns] for rows in (~empty, empty)))
+
+
+def _row_counts(path) -> tuple[int, int]:
+    """The rows after the first line of ``path`` whose last field is filled and
+    those where it is empty, as one pass over its bytes counts them: the lines
+    that are not empty, and those that end in a comma, with a CR read as a line
+    end, as Python and numpy read one (CRLF is then a line and an empty one)."""
+    rows = ends_empty = 0
+    buf, last = bytearray(1 << 16), np.uint8(ord("\n"))  # as if after a line end
+    with open(path, "rb") as fh:
+        fh.readline()  # the header
+        while size := fh.readinto(buf):
+            chunk = np.frombuffer(buf, np.uint8, size)
+            if buf.find(b"\r", 0, size) >= 0:
+                chunk[chunk == ord("\r")] = ord("\n")
+            before = np.concatenate([[last], chunk[:-1]])
+            ends = chunk == ord("\n")  # each ends the line that precedes it
+            rows += int(np.count_nonzero(ends & (before != ord("\n"))))
+            ends_empty += int(np.count_nonzero(ends & (before == ord(","))))
+            last = chunk[-1]
+    if last != ord("\n"):  # an unended last line
+        rows, ends_empty = rows + 1, ends_empty + int(last == ord(","))
+    return rows - ends_empty, ends_empty
+
+
+def _fill(blocks, dtype: np.dtype, path) -> list | None:
+    """The columns of the fields of ``dtype`` over ``blocks`` (lists of
+    per-field columns, or None where numpy refused a block) for the rows whose
+    last field is filled and for those where it is empty, in columns of the
+    sizes :func:`_row_counts` counts in ``path``; None if a block is None or
+    the rows disagree with the counts.  The rows are counted and the columns
+    allocated once the first block has arrived, while workers parse the next
+    blocks, and each block is copied and dropped before the next is drawn, so
+    a read holds the columns and about one block."""
+    parts, filled = None, [0, 0]
+    for block in blocks:
+        if block is None:
+            return None
+        parts = parts or [[np.empty((size, *dtype[f].shape), dtype[f].base)
+                           for f in range(len(dtype))] for size in _row_counts(path)]
+        if not _copy_block(block, parts, filled):
+            return None
+        del block  # before the next block is parsed or unpickled
+    return parts if filled == [len(part[0]) for part in parts] else None
+
+
+def _copy_block(block: list, parts: list, filled: list) -> bool:
+    """Copy ``block``'s rows into ``parts`` from the ``filled`` rows on, and
+    advance them; False if a part has no room for them."""
+    empty = np.isnan(block[-1])
+    for i, (part, rows) in enumerate(zip(parts, (~empty, empty))):
+        rows = np.flatnonzero(rows)
+        start, stop = filled[i], filled[i] + len(rows)
+        if stop > len(part[0]):
+            return False
+        for column, values in zip(part, block):
+            # every row is in range; "clip" takes straight into the slice,
+            # where "raise" would take into a copy of it first
+            np.take(values, rows, axis=0, out=column[start:stop], mode="clip")
+        filled[i] = stop
+    return True
 
 
 def _body_blocks(path) -> list:
@@ -491,14 +640,6 @@ def _parse_block(path, dtype, converters: dict, span) -> list | None:
     except (ValueError, Warning):
         return None
     return [np.array(rows[name]) for name in rows.dtype.names]
-
-
-def _join(blocks, groups=None) -> list:
-    """For each group of rows (default: all of them), every field's column over
-    ``blocks`` (lists of per-field columns): the rows ``group[i]`` of block i."""
-    groups = groups or [[slice(None)] * len(blocks)]
-    return [[np.concatenate([block[field][rows] for block, rows in zip(blocks, group)])
-             for field in range(len(blocks[0]))] for group in groups]
 
 
 def _parse_lines(lines, d: int, parsers) -> tuple:
@@ -564,15 +705,13 @@ def read_bandit_csv(path) -> tuple[BanditLog, BanditLog]:
     """
     return _read_columns(path, [("action", np.int64, _index("action index")),
                                 ("propensity", float, _propensity), ("reward", float, _reward)],
-                         {"reward": _reward}, _bandit_parts)
+                         {"reward": _reward}, _bandit_logs)
 
 
-def _bandit_parts(blocks) -> tuple[BanditLog, BanditLog]:
-    """The logs of the rewarded and of the reward-free rows of ``blocks``,
-    each joined straight from them, with no log of every row."""
-    k = 1 + max(int(np.max(actions, initial=-1)) for _, actions, _, _ in blocks)
-    rewarded = [~np.isnan(rewards) for *_, rewards in blocks]
-    S, S_u = _join(blocks, [rewarded, [~rows for rows in rewarded]])
+def _bandit_logs(S: list, S_u: list) -> tuple[BanditLog, BanditLog]:
+    """The logs of the rewarded rows' and of the reward-free rows' columns,
+    with 1 + the largest action in either as their action count."""
+    k = 1 + max(int(np.max(actions, initial=-1)) for _, actions, _, _ in (S, S_u))
     return BanditLog(*S, k), BanditLog(*S_u, k)
 
 
@@ -589,4 +728,4 @@ def write_supervised_csv(path, ds: SupervisedDataset) -> None:
 
 def read_supervised_csv(path) -> SupervisedDataset:
     return _read_columns(path, [("label", np.int64, _index("label"))], {},
-                         lambda blocks: SupervisedDataset(*_join(blocks)[0]))
+                         lambda rows, _: SupervisedDataset(*rows))

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import tracemalloc
 
@@ -80,16 +79,28 @@ def assert_same_rows(a: BanditLog, b: BanditLog) -> None:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """(workers, initargs) of every process pool that ``fork_map`` makes."""
-    made = []
+    """(workers, args) of every ``fork_map`` call that forks workers."""
+    made, forked = [], semicrm.data._forked
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, mp_context, **kwargs):
-            made.append((max_workers, kwargs["initargs"]))
-            super().__init__(max_workers, mp_context, **kwargs)
+    def recording(workers, fn, items, args):
+        made.append((workers, args))
+        return forked(workers, fn, items, args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(semicrm.data, "_forked", recording)
     return made
+
+
+@pytest.fixture
+def no_worker_left():
+    """A check that this process has no child, running or left to reap, and
+    no descriptor it did not have when the test began."""
+    before = set(os.listdir("/proc/self/fd"))
+
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert set(os.listdir("/proc/self/fd")) <= before
+    return check
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-import multiprocessing
+import operator
 import os
 import subprocess
 import sys
@@ -671,8 +671,7 @@ class TestBlockedCsvWrites:
         assert os.getpid() not in pids and len(set(pids)) <= len(os.sched_getaffinity(0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         write_supervised_csv(path, label_concentrated_dataset(n=7))
-        pids = pids_written(path)
-        assert len(set(pids)) == 1 and os.getpid() not in pids  # one worker
+        assert pids_written(path) == [os.getpid()] * 4  # one CPU: no worker
 
     def test_without_an_affinity_mask_blocks_are_formatted_in_this_process(
             self, tmp_path, monkeypatch):
@@ -720,15 +719,16 @@ class TestBlockedCsvWrites:
         write_bandit_csv(path, random_log(n=10))
         assert path.read_text().splitlines()[1:] == ["0,4", "4,7", "7,10"]
 
-    def test_no_worker_outlives_a_write(self, tmp_path, monkeypatch):
+    def test_no_worker_outlives_a_write(self, tmp_path, monkeypatch, no_worker_left):
         monkeypatch.setattr(semicrm.data, "STREAM_BLOCK", 3)
         monkeypatch.setattr(semicrm.data, "CSV_FORK_ROWS", 0)
         write_bandit_csv(tmp_path / "log.csv", random_log(n=20))
-        assert multiprocessing.active_children() == []
+        no_worker_left()
         write_supervised_csv(tmp_path / "sup.csv", label_concentrated_dataset(n=20))
-        assert multiprocessing.active_children() == []
+        no_worker_left()
 
-    def test_failed_block_raises_its_own_type_and_leaves_no_file(self, tmp_path, monkeypatch):
+    def test_failed_block_raises_its_own_type_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                                 no_worker_left):
         format_rows, formatted = semicrm.data._bandit_rows, []
 
         def fails_on_the_third_block(log, rows):
@@ -744,13 +744,13 @@ class TestBlockedCsvWrites:
         with pytest.raises(OverflowError, match="block at row 6"):
             write_bandit_csv(path, random_log(n=20))
         assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
-        assert multiprocessing.active_children() == []
+        no_worker_left()
         path.write_bytes(b"the file before\n")
         with pytest.raises(OverflowError, match="block at row 6"):
             write_bandit_csv(path, random_log(n=20))
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"the file before\n"
-        assert multiprocessing.active_children() == []
+        no_worker_left()
         monkeypatch.delattr(os, "sched_getaffinity")  # every block in this process
         with pytest.raises(OverflowError, match="block at row 6"):
             write_bandit_csv(path, random_log(n=20))
@@ -875,8 +875,8 @@ class TestBlockedCsvReads:
         write_supervised_csv(path, label_concentrated_dataset(n=30))
         pids = set(read_supervised_csv(path).labels.tolist())
         assert os.getpid() not in pids and len(pids) <= len(os.sched_getaffinity(0))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert len(set(read_supervised_csv(path).labels.tolist()) - {os.getpid()}) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one CPU: no worker
+        assert set(read_supervised_csv(path).labels.tolist()) == {os.getpid()}
         monkeypatch.delattr(os, "sched_getaffinity")
         assert set(read_supervised_csv(path).labels.tolist()) == {os.getpid()}
 
@@ -893,7 +893,7 @@ class TestBlockedCsvReads:
         assert pools == []
         monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", body - 1)
         read_bandit_csv(path)
-        assert [workers for workers, _ in pools] == [min(2, len(os.sched_getaffinity(0)))]
+        assert [workers for workers, _ in pools] == [2] * (len(os.sched_getaffinity(0)) > 1)
 
     def test_crlf_and_no_final_newline_read_as_the_lf_file(self, tmp_path, monkeypatch):
         S, S_u = mask_rewards(random_log(n=40), 0.5, make_rng(1))
@@ -954,17 +954,93 @@ class TestBlockedCsvReads:
                 read_bandit_csv(path)
             assert err.value.line_number == 1000
 
-    def test_no_worker_outlives_a_read(self, tmp_path, monkeypatch):
+    def test_no_worker_outlives_a_read(self, tmp_path, monkeypatch, no_worker_left):
         monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", 50)
         path = tmp_path / "log.csv"
         write_bandit_csv(path, random_log(n=20))
         read_bandit_csv(path)
-        assert multiprocessing.active_children() == []
+        no_worker_left()
         text = path.read_text().splitlines()
         path.write_text("\n".join(text[:-1] + ["1,2,0,1.5,-1"]) + "\n")
         with pytest.raises(DatasetFormatError):
             read_bandit_csv(path)
-        assert multiprocessing.active_children() == []
+        no_worker_left()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_a_read_holds_its_columns_and_about_one_block(self, tmp_path, monkeypatch, cpus):
+        # every block is copied into columns of their final size and dropped
+        # before the next, so the peak is not all the blocks plus the columns
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        S, S_u = mask_rewards(random_log(n=20000, d=10, k=5), 0.3, make_rng(2))
+        write_bandit_csv(tmp_path / "log.csv", S.concat(S_u))
+        write_supervised_csv(tmp_path / "sup.csv", SupervisedDataset(S.contexts, S.actions))
+        for name, read in (("log.csv", read_bandit_csv), ("sup.csv", read_supervised_csv)):
+            path = tmp_path / name
+            monkeypatch.setattr(semicrm.data, "CSV_READ_BLOCK", path.stat().st_size // 17)
+            assert len(block_starts(path)) >= 16
+            got = read(path)
+            parts = got if isinstance(got, tuple) else (got,)
+            columns = sum(column.nbytes for part in parts for column in vars(part).values()
+                          if isinstance(column, np.ndarray))
+            assert traced_peak(read, path) < 1.5 * columns, name
+
+
+# fork_map hands item indices out over a pipe and brings results back through
+# spool files; these pin what a simpler hand-out or return would break.
+
+class TestForkMap:
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    def test_results_larger_than_a_pipe_come_back_in_item_order(self):
+        def late_first(size, item):  # the first items take the longest
+            time.sleep(0.02 * (8 - item))
+            return str(item) * size
+
+        assert list(semicrm.data.fork_map(late_first, range(8), 1 << 20)) == [
+            str(item) * (1 << 20) for item in range(8)]
+
+    def test_more_items_than_a_pipe_holds_indices(self):
+        # 20000 eight-byte indices do not fit in a 64 KiB pipe at once
+        assert list(semicrm.data.fork_map(operator.add, range(20000), 1)) == list(
+            range(1, 20001))
+
+    def test_a_worker_that_dies_without_a_result_raises(self, no_worker_left):
+        def dies_on_two(item):
+            if item == 2:
+                os._exit(3)
+            return item
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            list(semicrm.data.fork_map(dies_on_two, range(6)))
+        assert time.monotonic() - start < 10
+        no_worker_left()
+
+    def test_an_exception_that_cannot_be_pickled_still_raises(self, no_worker_left):
+        class Local(Exception):  # a class in a function does not pickle
+            pass
+
+        def raises_on_one(item):
+            if item == 1:
+                raise Local("not from here")
+            return item
+
+        with pytest.raises(RuntimeError, match="Local, not picklable: not from here"):
+            list(semicrm.data.fork_map(raises_on_one, range(4)))
+        no_worker_left()
+
+    def test_closing_early_reaps_every_worker_and_leaves_nothing(self, tmp_path, monkeypatch,
+                                                                 no_worker_left):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where spools are made
+        results = semicrm.data.fork_map(lambda item: time.sleep(item / 10) or item, range(40))
+        assert next(results) == 0
+        start = time.monotonic()
+        results.close()  # does not wait for the 78 s of sleeps left
+        assert time.monotonic() - start < 5
+        no_worker_left()
+        assert list(tmp_path.iterdir()) == []
 
 
 # Both readers parse with numpy first and hand a file to the line parser when

@@ -7,11 +7,8 @@ import math
 import operator
 import os
 import pickle
-import select
 import signal
-import struct
 import sys
-import tempfile
 import threading
 import warnings
 from array import array
@@ -354,14 +351,6 @@ def drop_action(S: BanditLog, action: int) -> BanditLog:
 # reads of a body over CSV_READ_BLOCK bytes parse blocks of it, in forked
 # workers, to the same bytes on any CPU count; the rest is serial.
 
-# a worker's record of a finished item in the result pipe: the item, the
-# worker, and the offset and size of its pickled result in that worker's spool
-_RECORD = struct.Struct("4q")
-# most items handed out whose records the caller has not read: their indices
-# and records fit in 4096 bytes (Linux's PIPE_BUF), the least a pipe holds,
-# so neither the caller's writes nor a worker's block
-_AHEAD = 4096 // _RECORD.size
-
 
 def fork_map(fn, items, *args):
     """An iterator of ``fn(*args, item)`` for each item, in item order: from
@@ -377,48 +366,34 @@ def fork_map(fn, items, *args):
 
 def _forked(workers: int, fn, items, args):
     """``fork_map`` over ``workers`` forked workers, which inherit ``fn``,
-    ``items`` and ``args``.  An idle worker reads the next item's index from a
-    shared pipe, appends the pickled result, or the exception the item raised,
-    to its own unlinked spool file (``tempfile.TemporaryFile``) and writes a
-    record of where to a shared result pipe.  The caller unpickles one result
-    at a time, in item order, in its own thread; the spools hold the others.
-    Closing the iterator early, an error in an item or a worker that ends
-    kills and reaps every worker."""
-    tasks, results = os.pipe(), os.pipe()
-    fds, pids, spools = [*tasks, *results], {}, []  # pids: exit pipe -> worker
+    ``items`` and ``args``.  Worker w runs ``items[w::workers]`` in turn and
+    writes each pickled result, or the exception the item raised, to a pipe of
+    its own; the caller unpickles item i from worker i % workers, in its own
+    thread.  A worker waits while its pipe is full, so what it has made and
+    the caller has not read is at most a pipe's worth and one result.  Closing
+    the iterator early, an error in an item or a worker that ends kills and
+    reaps every worker."""
+    pids, pipes = {}, []  # pids: worker -> process id, until reaped
     try:
         for worker in range(workers):
-            spools.append(tempfile.TemporaryFile())
-            exit_r, exit_w = os.pipe()  # reads as ended once the worker exits
-            fds.append(exit_r)
-            try:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:  # closed here before the next fork, so only the worker holds it
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, items, args, tasks[0], results[1], spools[-1], worker)
+                    _work(fn, items[worker::workers], args, write)
             finally:
-                os.close(exit_w)
-            pids[exit_r] = pid
-        poller = select.poll()
-        for fd in (results[0], *pids):
-            poller.register(fd, select.POLLIN)
-        handed, read, records = 0, 0, {}
+                os.close(write)
+            pids[worker] = pid
         for item in range(len(items)):
-            while item not in records:
-                more = range(handed, min(len(items), read + _AHEAD))
-                if more:
-                    os.write(tasks[1], struct.pack(f"{len(more)}q", *more))
-                    handed += len(more)
-                for fd, _ in poller.poll():
-                    if fd in pids:
-                        _, status = os.waitpid(pids.pop(fd), 0)
-                        raise RuntimeError(f"a fork_map worker exited with code "
-                                           f"{os.waitstatus_to_exitcode(status)} "
-                                           f"before its items were done")
-                done = os.read(results[0], _AHEAD * _RECORD.size)
-                records.update((i, where) for i, *where in _RECORD.iter_unpack(done))
-                read += len(done) // _RECORD.size
-            worker, offset, size = records.pop(item)
-            ok, result = pickle.loads(os.pread(spools[worker].fileno(), size, offset))
+            worker = item % workers
+            try:
+                ok, result = pickle.load(pipes[worker])
+            except (EOFError, pickle.UnpicklingError):  # the worker has ended
+                _, status = os.waitpid(pids.pop(worker), 0)
+                raise RuntimeError(f"a fork_map worker exited with code "
+                                   f"{os.waitstatus_to_exitcode(status)} "
+                                   f"before its items were done") from None
             if not ok:
                 raise result
             yield result
@@ -427,25 +402,22 @@ def _forked(workers: int, fn, items, args):
             os.kill(pid, signal.SIGKILL)
         for pid in pids.values():
             os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
-        for spool in spools:
-            spool.close()
+        for pipe in pipes:
+            pipe.close()
 
 
-def _work(fn, items, args, tasks: int, results: int, spool, worker: int):
-    """A forked worker: it runs the items whose indices it reads until it is
-    killed, and exits with code 1 on an error outside an item."""
+def _work(fn, items, args, pipe: int):
+    """A forked worker: it writes each item's pickled result to ``pipe`` and
+    exits with code 0 after the last, or with code 1 on an error outside an
+    item."""
     try:
-        offset = 0
-        while True:
-            (item,) = struct.unpack("q", os.read(tasks, 8))  # the caller writes whole indices
-            size = spool.write(_pickled(fn, args, items[item]))
-            spool.flush()
-            os.write(results, _RECORD.pack(item, worker, offset, size))
-            offset += size
-    finally:
+        with open(pipe, "wb") as out:
+            for item in items:
+                out.write(_pickled(fn, args, item))
+                out.flush()
+    except BaseException:
         os._exit(1)
+    os._exit(0)
 
 
 def _pickled(fn, args, item) -> bytes:
@@ -481,7 +453,7 @@ def _write_blocks(path, header: str, format_rows, data) -> None:
             fh.writelines(formatted)
         os.replace(partial_path, path)
     except BaseException:
-        formatted.close()  # drops the blocks not yet formatted and joins the workers
+        formatted.close()  # drops the blocks not yet formatted; kills and reaps the workers
         if os.path.exists(partial_path):
             os.remove(partial_path)
         raise

@@ -1,5 +1,6 @@
 import operator
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -985,8 +986,9 @@ class TestBlockedCsvReads:
             assert traced_peak(read, path) < 1.5 * columns, name
 
 
-# fork_map hands item indices out over a pipe and brings results back through
-# spool files; these pin what a simpler hand-out or return would break.
+# fork_map deals items round-robin to its workers, and each worker returns its
+# results through a pipe of its own that the caller reads in item order; these
+# pin what a simpler deal or return would break.
 
 class TestForkMap:
     @pytest.fixture(autouse=True)
@@ -1001,8 +1003,8 @@ class TestForkMap:
         assert list(semicrm.data.fork_map(late_first, range(8), 1 << 20)) == [
             str(item) * (1 << 20) for item in range(8)]
 
-    def test_more_items_than_a_pipe_holds_indices(self):
-        # 20000 eight-byte indices do not fit in a 64 KiB pipe at once
+    def test_more_results_than_a_pipe_holds(self):
+        # each worker's 5000 pickled results do not fit in a 64 KiB pipe at once
         assert list(semicrm.data.fork_map(operator.add, range(20000), 1)) == list(
             range(1, 20001))
 
@@ -1031,16 +1033,47 @@ class TestForkMap:
             list(semicrm.data.fork_map(raises_on_one, range(4)))
         no_worker_left()
 
-    def test_closing_early_reaps_every_worker_and_leaves_nothing(self, tmp_path, monkeypatch,
-                                                                 no_worker_left):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where spools are made
+    def test_closing_early_reaps_every_worker_and_leaves_nothing(self, no_worker_left):
         results = semicrm.data.fork_map(lambda item: time.sleep(item / 10) or item, range(40))
         assert next(results) == 0
         start = time.monotonic()
         results.close()  # does not wait for the 78 s of sleeps left
         assert time.monotonic() - start < 5
         no_worker_left()
-        assert list(tmp_path.iterdir()) == []
+
+    def test_workers_run_at_most_one_result_ahead_of_the_caller(self, tmp_path, monkeypatch,
+                                                                no_worker_left):
+        workers = 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                            raising=False)
+        started = tmp_path / "started"
+
+        def logged(item):
+            with open(started, "a") as fh:
+                fh.write(f"{item}\n")
+            return bytes(1 << 20)
+
+        results = semicrm.data.fork_map(logged, range(40))
+        assert next(results) == bytes(1 << 20)
+        time.sleep(1)
+        # each worker has at most one result waiting and one being made
+        assert len(started.read_text().split()) <= 2 * workers
+        results.close()
+        no_worker_left()
+
+    def test_a_worker_killed_while_writing_a_result_raises(self, monkeypatch, no_worker_left):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def killed_mid_write(item):
+            if item == 0:
+                time.sleep(2)  # the caller reads nothing of item 1 until then
+                return item
+            threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGKILL)).start()
+            return bytes(4 << 20)  # blocks on the full pipe until the timer kills it
+
+        with pytest.raises(RuntimeError, match="exited with code -9"):
+            list(semicrm.data.fork_map(killed_mid_write, range(2)))
+        no_worker_left()
 
 
 # Both readers parse with numpy first and hand a file to the line parser when
